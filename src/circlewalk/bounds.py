@@ -39,6 +39,7 @@ from .walk import (
     detailed_balance,
     mixing_time,
     stationary,
+    stationary_numerators,
 )
 
 # K^4 is computed in exact integers up to here; float64 with slack above.
@@ -146,32 +147,38 @@ def dirichlet_form(
 def equilibrium_kernel(modulus: PrimeModulus) -> StochasticKernel:
     """The rank-one chain whose every row is the invariant law."""
     p = modulus.p
-    w = np.full(p, p + 1, dtype=np.int64)
-    w[0] = 1
-    scaled = np.tile(w, (p, 1))
-    return StochasticKernel(scaled, p * p)
+    return StochasticKernel(np.tile(stationary_numerators(p), (p, 1)), p * p)
 
 
 def _support_pairs(kernel: StochasticKernel) -> np.ndarray:
     return kernel.scaled > 0
 
 
-def _validate_path(
-    pair: tuple[int, int], path: Sequence[int], support: np.ndarray
+def _walk_edges(
+    walk: Sequence[int], start: int, end: int, support: np.ndarray,
+    error: type[ValueError],
 ) -> list[tuple[int, int]]:
-    x, y = pair
-    path = list(path)
-    if len(path) < 2 or path[0] != x or path[-1] != y:
-        raise InvalidPathEdge(f"path for {pair} must run from {x} to {y}")
-    edges = list(zip(path, path[1:]))
+    """Edges of a path (start != end) or a cycle (start == end), after
+    checking its endpoints, that every step is a support edge, and that no
+    edge repeats; a violation raises ``error``."""
+    walk = list(walk)
+    if len(walk) < 2 or walk[0] != start or walk[-1] != end:
+        ends = (f"start and end at {start}" if start == end
+                else f"run from {start} to {end}")
+        raise error(f"{_walk_name(start, end)} must {ends}")
+    edges = list(zip(walk, walk[1:]))
     seen = set()
     for z, w in edges:
         if not support[z, w]:
-            raise InvalidPathEdge(f"path for {pair} uses non-edge ({z}, {w})")
+            raise error(f"{_walk_name(start, end)} uses non-edge ({z}, {w})")
         if (z, w) in seen:
-            raise InvalidPathEdge(f"path for {pair} repeats edge ({z}, {w})")
+            raise error(f"{_walk_name(start, end)} repeats edge ({z}, {w})")
         seen.add((z, w))
     return edges
+
+
+def _walk_name(start: int, end: int) -> str:
+    return f"cycle for {start}" if start == end else f"path for {(start, end)}"
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,7 @@ def comparison_bound(
             path = paths.get((x, y))
             if path is None:
                 raise MissingPath(f"no path for support pair ({x}, {y})")
-            edges = _validate_path((x, y), path, support)
+            edges = _walk_edges(path, x, y, support, InvalidPathEdge)
             load = len(edges) * other_pi[x] * other_k[x, y]
             for e in edges:
                 congestion[e] = congestion.get(e, 0.0) + load
@@ -233,7 +240,7 @@ def comparison_bound(
     return ComparisonBound(A=float(best), a=a)
 
 
-def default_paths(modulus: PrimeModulus) -> dict[tuple[int, int], tuple[int, ...]]:
+def default_paths(kernel: StochasticKernel) -> dict[tuple[int, int], tuple[int, ...]]:
     """Canonical paths from every circle to every other along walk edges.
 
     The pair with smaller index first gets: the direct edge for (0, 1); a
@@ -242,9 +249,8 @@ def default_paths(modulus: PrimeModulus) -> dict[tuple[int, int], tuple[int, ...
     index that keeps both hops on support edges; the swapped pair reuses
     the route reversed.
     """
-    kernel = build_kernel(StructureTensor(modulus))
     support = _support_pairs(kernel)
-    p = modulus.p
+    p = kernel.p
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     for r in range(p):
         for s in range(r + 1, p):
@@ -278,11 +284,11 @@ def cycle_length_by_chain(
     kernel: StochasticKernel, dist: Distribution, cycle: Sequence[int]
 ) -> float:
     """Sum of 1 / (pi(z) K(z, w)) over the traversed edges of a cycle."""
-    pi = dist.to_array()
-    k = kernel.matrix
-    return float(
-        sum(1.0 / (pi[z] * k[z, w]) for z, w in zip(cycle, cycle[1:]))
-    )
+    return _chain_length(kernel.matrix, dist.to_array(), zip(cycle, cycle[1:]))
+
+
+def _chain_length(k: np.ndarray, pi: np.ndarray, edges) -> float:
+    return float(sum(1.0 / (pi[z] * k[z, w]) for z, w in edges))
 
 
 def odd_cycle_bound(
@@ -301,20 +307,10 @@ def odd_cycle_bound(
 
     congestion: dict[tuple[int, int], float] = {}
     for x in range(p):
-        cycle = list(cycles[x])
-        if len(cycle) < 2 or cycle[0] != x or cycle[-1] != x:
-            raise InvalidCycleEdge(f"cycle for {x} must start and end at {x}")
-        edges = list(zip(cycle, cycle[1:]))
+        edges = _walk_edges(cycles[x], x, x, support, InvalidCycleEdge)
         if len(edges) % 2 == 0:
             raise EvenCycle(f"cycle for {x} has {len(edges)} edges")
-        seen = set()
-        for z, w in edges:
-            if not support[z, w]:
-                raise InvalidCycleEdge(f"cycle for {x} uses non-edge ({z}, {w})")
-            if (z, w) in seen:
-                raise InvalidCycleEdge(f"cycle for {x} repeats edge ({z}, {w})")
-            seen.add((z, w))
-        weight = cycle_length_by_chain(kernel, dist, cycle) * pi[x]
+        weight = _chain_length(kernel.matrix, pi, edges) * pi[x]
         for e in edges:
             congestion[e] = congestion.get(e, 0.0) + weight
 
@@ -322,16 +318,15 @@ def odd_cycle_bound(
     return OddCycleBound(v=v, alpha_min_lower=-1.0 + 2.0 / v)
 
 
-def default_cycles(modulus: PrimeModulus) -> dict[int, tuple[int, ...]]:
+def default_cycles(kernel: StochasticKernel) -> dict[int, tuple[int, ...]]:
     """A shortest odd closed walk through every circle along walk edges.
 
     Checks a self-loop first, then triangles, then five-edge walks, taking
     the lexicographically smallest vertex sequence at the first feasible
     length. Lengths beyond 5 are never needed for an ergodic circle walk.
     """
-    kernel = build_kernel(StructureTensor(modulus))
     support = _support_pairs(kernel)
-    p = modulus.p
+    p = kernel.p
     cycles: dict[int, tuple[int, ...]] = {}
     for x in range(p):
         cycles[x] = _shortest_odd_cycle(support, x, p)
@@ -577,14 +572,13 @@ def bound_report(
     cycle bounds with the default constructions, the closed forms, the
     coupling bound, and (optionally) the measured mixing time.
     """
-    tensor = StructureTensor(modulus)
-    kernel = build_kernel(tensor)
+    kernel = build_kernel(StructureTensor(modulus))
     pi = stationary(modulus)
     spectral = spectrum(kernel, pi)
     comp = comparison_bound(
-        kernel, pi, equilibrium_kernel(modulus), pi, default_paths(modulus)
+        kernel, pi, equilibrium_kernel(modulus), pi, default_paths(kernel)
     )
-    cyc = odd_cycle_bound(kernel, pi, default_cycles(modulus))
+    cyc = odd_cycle_bound(kernel, pi, default_cycles(kernel))
     closed = closed_form_bounds(modulus)
     coup = coupling_bound(modulus, epsilon)
     tau = None

@@ -67,9 +67,9 @@ class StructureTensor:
     governed by the squareness of V = ij - (k-i-j)^2 / 4 in F_p:
     non-square gives 0, zero gives 1/(p+1), nonzero square gives 2/(p+1).
 
-    ``scaled`` returns numerators over the common denominator p + 1; the
-    dense table of those numerators is built lazily and only for p up to
-    DENSE_TABLE_LIMIT.
+    ``numerators(i)`` returns the (j, k) block of numerators over the
+    common denominator p + 1; the dense table of all blocks is built
+    lazily and only for p up to DENSE_TABLE_LIMIT.
     """
 
     def __init__(self, modulus: PrimeModulus):
@@ -84,25 +84,40 @@ class StructureTensor:
         """n_ij^k as an exact rational."""
         return Fraction(self.scaled(i, j, k), self.p + 1)
 
-    def scaled(self, i: int, j: int, k: int) -> int:
-        """Numerator of n_ij^k over the common denominator p + 1."""
+    def numerators(self, i: int) -> np.ndarray:
+        """(p, p) int64 block of the numerators of n_ij^k over p + 1,
+        indexed [j, k], identity rows included.
+
+        The only evaluation of the closed form: the table, the scalar
+        accessor, the walk kernel and the export all read these blocks.
+        """
         p = self.p
         _check_index(p, i)
-        _check_index(p, j)
-        _check_index(p, k)
         if i == 0:
-            return (p + 1) * (k == j)
-        if j == 0:
-            return (p + 1) * (k == i)
+            return (p + 1) * np.eye(p, dtype=np.int64)
+        j = np.arange(p, dtype=np.int64).reshape(p, 1)
+        k = np.arange(p, dtype=np.int64).reshape(1, p)
         v = (i * j - (k - i - j) ** 2 * self.modulus._inv4) % p
-        if v == 0:
-            return 1
-        return 2 if self.modulus.residue_table[v] else 0
+        block = np.where(self.modulus.residue_table[v], 2, 0)
+        block[v == 0] = 1
+        # j = 0 is the identity: n_i0^k = [k == i]
+        block[0] = 0
+        block[0, i] = p + 1
+        return block
+
+    def scaled(self, i: int, j: int, k: int) -> int:
+        """Numerator of n_ij^k over the common denominator p + 1.
+
+        Builds the whole i-block, O(p^2); loops should read ``numerators``.
+        """
+        _check_index(self.p, j)
+        _check_index(self.p, k)
+        return int(self.numerators(i)[j, k])
 
     def scaled_table(self) -> np.ndarray:
         """Dense (p, p, p) int32 table of scaled numerators, memoized.
 
-        Built one i-slice at a time so temporaries stay O(p^2).
+        Built one i-block at a time so temporaries stay O(p^2).
         """
         if self._table is None:
             p = self.p
@@ -110,17 +125,9 @@ class StructureTensor:
                 raise ValueError(
                     f"dense table for p={p} exceeds limit {DENSE_TABLE_LIMIT}"
                 )
-            j = np.arange(p, dtype=np.int64).reshape(p, 1)
-            k = np.arange(p, dtype=np.int64).reshape(1, p)
             table = np.empty((p, p, p), dtype=np.int32)
             for i in range(p):
-                v = (i * j - (k - i - j) ** 2 * self.modulus._inv4) % p
-                block = np.where(self.modulus.residue_table[v], 2, 0)
-                block[v == 0] = 1
-                table[i] = block
-            eye = (p + 1) * np.eye(p, dtype=np.int32)
-            table[0, :, :] = eye
-            table[:, 0, :] = eye
+                table[i] = self.numerators(i)
             table.setflags(write=False)
             self._table = table
         return self._table
@@ -167,8 +174,9 @@ def triple_support(
     p = tensor.p
     for idx in (i, j, k, l):
         _check_index(p, idx)
-    return any(
-        tensor.scaled(i, j, t) > 0 and tensor.scaled(t, k, l) > 0 for t in range(p)
+    # n_tk^l = n_kt^l, so column l of the k-block runs over t
+    return bool(
+        ((tensor.numerators(i)[j] > 0) & (tensor.numerators(k)[:, l] > 0)).any()
     )
 
 

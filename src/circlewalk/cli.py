@@ -26,9 +26,6 @@ EXIT_BAD_MODULUS = 2
 EXIT_NOT_MIXED = 3
 EXIT_INVARIANT = 4
 
-CONSTANTS_GATE = 512
-MIXING_GATE = 499
-
 
 def _default_jobs() -> int:
     # the only environment variable consulted anywhere
@@ -56,18 +53,21 @@ def fmt(x) -> str:
     return "" if x is None else str(x)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks, output: str | None) -> None:
+    """Write text chunks, in order, to stdout or to the file ``output``."""
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_text(header: list[str] | None, rows) -> str:
+    """CSV text of the rows, after the header unless it is None."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    if header is not None:
+        writer.writerow(header)
     for row in rows:
         writer.writerow([fmt(v) for v in row])
     return buf.getvalue()
@@ -81,44 +81,46 @@ def _json_float(x):
     return None if x is None else float(fmt(x))
 
 
+def _constant_rows(tensor, i: int):
+    """Export rows (i, j, k, numerator, denominator) of the i-block: over
+    p + 1, or over 1 on the identity rows (a zero index)."""
+    p = tensor.p
+    for j, row in enumerate(tensor.numerators(i).tolist()):
+        if i == 0 or j == 0:
+            for k, n in enumerate(row):
+                yield i, j, k, n // (p + 1), 1
+        else:
+            for k, n in enumerate(row):
+                yield i, j, k, n, p + 1
+
+
 def cmd_constants(args) -> int:
     modulus = make_modulus(args.p)
     p = modulus.p
-    if p > CONSTANTS_GATE and not args.force:
-        print(
-            f"p={p} exceeds the export gate {CONSTANTS_GATE}; use --force",
-            file=sys.stderr,
-        )
+    gate = circles_mod.DENSE_TABLE_LIMIT
+    if p > gate and not args.force:
+        print(f"p={p} exceeds the export gate {gate}; use --force",
+              file=sys.stderr)
         return EXIT_USAGE
     tensor = circles_mod.StructureTensor(modulus)
-
-    def rows():
-        for i in range(p):
-            for j in range(p):
-                for k in range(p):
-                    scaled = tensor.scaled(i, j, k)
-                    if i == 0 or j == 0:
-                        yield i, j, k, scaled // (p + 1), 1
-                    else:
-                        yield i, j, k, scaled, p + 1
-
     if args.format == "json":
-        data = [list(r) for r in rows()]
-        _emit(_json_text({"p": p, "rows": data}), args.output)
+        data = [list(r) for i in range(p) for r in _constant_rows(tensor, i)]
+        _emit([_json_text({"p": p, "rows": data})], args.output)
     else:
-        _emit(_csv_text(["i", "j", "k", "numerator", "denominator"], rows()),
-              args.output)
+        # one chunk per i-block keeps the text in memory at O(p^2)
+        header = ["i", "j", "k", "numerator", "denominator"]
+        _emit((_csv_text(header if i == 0 else None, _constant_rows(tensor, i))
+               for i in range(p)), args.output)
     return EXIT_OK
 
 
 def cmd_axioms(args) -> int:
     modulus = make_modulus(args.p)
-    if modulus.p > CONSTANTS_GATE:
+    gate = circles_mod.DENSE_TABLE_LIMIT
+    if modulus.p > gate:
         # the check runs on the dense table, which is hard-capped
-        print(
-            f"p={modulus.p} exceeds the dense-table limit {CONSTANTS_GATE}",
-            file=sys.stderr,
-        )
+        print(f"p={modulus.p} exceeds the dense-table limit {gate}",
+              file=sys.stderr)
         return EXIT_USAGE
     report = circles_mod.validate_axioms(circles_mod.StructureTensor(modulus))
     checks = report.checks()
@@ -131,49 +133,39 @@ def cmd_axioms(args) -> int:
                 for c in checks
             },
         }
-        _emit(_json_text(obj), args.output)
+        _emit([_json_text(obj)], args.output)
     else:
         rows = [
             (c.name, c.passed, "" if c.witness is None else ";".join(map(str, c.witness)))
             for c in checks
         ]
-        _emit(_csv_text(["axiom", "passed", "witness"], rows), args.output)
+        _emit([_csv_text(["axiom", "passed", "witness"], rows)], args.output)
     return EXIT_OK if report.all_passed else EXIT_INVARIANT
 
 
 def cmd_stationary(args) -> int:
-    modulus = make_modulus(args.p)
-    dist = walk_mod.stationary(modulus)
+    p = make_modulus(args.p).p
+    # p + 1 and p^2 are coprime, so these are the reduced fractions
+    numerators = walk_mod.stationary_numerators(p).tolist()
     if args.format == "json":
-        obj = {
-            "p": modulus.p,
-            "denominator": modulus.p**2,
-            "numerators": [int(w * modulus.p**2) for w in dist.weights],
-        }
-        _emit(_json_text(obj), args.output)
+        obj = {"p": p, "denominator": p**2, "numerators": numerators}
+        _emit([_json_text(obj)], args.output)
     else:
-        rows = [(k, w.numerator, w.denominator) for k, w in enumerate(dist.weights)]
-        _emit(_csv_text(["k", "numerator", "denominator"], rows), args.output)
+        rows = [(k, n, p**2) for k, n in enumerate(numerators)]
+        _emit([_csv_text(["k", "numerator", "denominator"], rows)], args.output)
     return EXIT_OK
-
-
-def _measured_mixing(modulus, eps, force):
-    tensor = circles_mod.StructureTensor(modulus)
-    kernel = walk_mod.build_kernel(tensor)
-    starts = range(modulus.p) if (modulus.p > MIXING_GATE and force) else None
-    return walk_mod.mixing_time(kernel, eps, starts=starts)
 
 
 def cmd_mix(args) -> int:
     modulus = make_modulus(args.p)
-    if modulus.p > MIXING_GATE and not args.force:
-        print(
-            f"p={modulus.p} exceeds the all-starts mixing gate {MIXING_GATE}; "
-            "use --force",
-            file=sys.stderr,
-        )
+    gate = walk_mod.MIXING_START_GATE
+    if modulus.p > gate and not args.force:
+        print(f"p={modulus.p} exceeds the all-starts mixing gate {gate}; "
+              "use --force", file=sys.stderr)
         return EXIT_USAGE
-    report = _measured_mixing(modulus, args.eps, args.force)
+    kernel = walk_mod.build_kernel(circles_mod.StructureTensor(modulus))
+    # every circle is a start; past the gate only --force gets here
+    report = walk_mod.mixing_time(kernel, args.eps, starts=range(modulus.p))
     if args.format == "json":
         obj = {
             "p": modulus.p,
@@ -182,13 +174,13 @@ def cmd_mix(args) -> int:
             "worst_start": report.worst_start,
             "tv_curve": [_json_float(v) for v in report.tv_curve],
         }
-        _emit(_json_text(obj), args.output)
+        _emit([_json_text(obj)], args.output)
     else:
         rows = [
             (t, report.tv_curve[t], report.curve_starts[t])
             for t in range(report.tau + 1)
         ]
-        _emit(_csv_text(["t", "worst_tv", "worst_start"], rows), args.output)
+        _emit([_csv_text(["t", "worst_tv", "worst_start"], rows)], args.output)
     return EXIT_OK
 
 
@@ -206,23 +198,23 @@ def cmd_spectrum(args) -> int:
             "alpha_star": _json_float(spectral.alpha_star),
             "gap": _json_float(spectral.gap),
         }
-        _emit(_json_text(obj), args.output)
+        _emit([_json_text(obj)], args.output)
     else:
         rows = [(i, float(v)) for i, v in enumerate(spectral.eigenvalues)]
-        _emit(_csv_text(["index", "eigenvalue"], rows), args.output)
+        _emit([_csv_text(["index", "eigenvalue"], rows)], args.output)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
     modulus = make_modulus(args.p)
-    measure = modulus.p <= MIXING_GATE or args.force
+    measure = modulus.p <= walk_mod.MIXING_START_GATE or args.force
     report = bounds_mod.bound_report(modulus, args.eps, measure_mixing=measure)
     obj = {k: (_json_float(v) if isinstance(v, float) else v)
            for k, v in report.to_json_dict().items()}
     if args.format == "json":
-        _emit(_json_text(obj), args.output)
+        _emit([_json_text(obj)], args.output)
     else:
-        _emit(_csv_text(list(obj.keys()), [list(obj.values())]), args.output)
+        _emit([_csv_text(list(obj.keys()), [list(obj.values())])], args.output)
     return EXIT_OK
 
 
@@ -238,13 +230,13 @@ def cmd_simulate(args) -> int:
             "counts": [int(c) for c in result.quadrance_counts],
             "frequencies": [_json_float(float(w)) for w in result.empirical.weights],
         }
-        _emit(_json_text(obj), args.output)
+        _emit([_json_text(obj)], args.output)
     else:
         rows = [
             (k, int(result.quadrance_counts[k]), float(result.empirical.weights[k]))
             for k in range(modulus.p)
         ]
-        _emit(_csv_text(["k", "count", "frequency"], rows), args.output)
+        _emit([_csv_text(["k", "count", "frequency"], rows)], args.output)
     return EXIT_OK
 
 
@@ -257,7 +249,9 @@ SCAN_HEADER = [
 def _scan_row(task: tuple[int, float]) -> list:
     p, eps = task
     modulus = make_modulus(p)
-    report = bounds_mod.bound_report(modulus, eps, measure_mixing=p <= MIXING_GATE)
+    report = bounds_mod.bound_report(
+        modulus, eps, measure_mixing=p <= walk_mod.MIXING_START_GATE
+    )
     tau = report.tau_measured
     return [
         p,
@@ -283,12 +277,13 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     tasks = [(p, args.eps) for p in primes]
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the fork pool starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_scan_row, tasks))
     else:
         rows = [_scan_row(t) for t in tasks]
     rows.sort(key=lambda r: r[0])
-    _emit(_csv_text(SCAN_HEADER, rows), args.output)
+    _emit([_csv_text(SCAN_HEADER, rows)], args.output)
     measured = [r[5] for r in rows if r[5] is not None]
     if measured:
         print(f"max tau_over_p = {fmt(max(measured))}", file=sys.stderr)

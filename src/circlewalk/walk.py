@@ -157,31 +157,29 @@ class StochasticKernel:
 
 
 def build_kernel(tensor: StructureTensor, m: int = 1) -> StochasticKernel:
-    """Kernel of the C_m walk: entry (i, j) is n_im^j."""
+    """Kernel of the C_m walk: entry (i, j) is n_im^j = n_mi^j."""
     p = tensor.p
     if not 0 <= m < p:
         raise IndexError(f"generator {m} out of range [0, {p})")
     if m == 0:
         raise ZeroGenerator("C_0 steps are stationary; the walk never mixes")
-    i = np.arange(p, dtype=np.int64).reshape(p, 1)
-    j = np.arange(p, dtype=np.int64).reshape(1, p)
-    v = (i * m - (j - i - m) ** 2 * tensor.modulus._inv4) % p
-    scaled = np.where(tensor.modulus.residue_table[v], 2, 0)
-    scaled[v == 0] = 1
-    scaled[0, :] = 0
-    scaled[0, m] = p + 1
-    return StochasticKernel(scaled, p + 1, generator=m)
+    return StochasticKernel(tensor.numerators(m), p + 1, generator=m)
+
+
+def stationary_numerators(p: int) -> np.ndarray:
+    """Numerators of the invariant law over p^2, each circle weighted by
+    its size: 1 on the null circle and p + 1 on the other p - 1 circles."""
+    w = np.full(p, p + 1, dtype=np.int64)
+    w[0] = 1
+    return w
 
 
 def stationary(modulus: PrimeModulus) -> Distribution:
-    """Invariant law of every circle walk: each circle weighted by its size.
-
-    The null circle carries 1/p^2 and each of the other p - 1 circles
-    carries (p+1)/p^2.
-    """
+    """Invariant law of every circle walk, exact."""
     p = modulus.p
-    w = [Fraction(1, p * p)] + [Fraction(p + 1, p * p)] * (p - 1)
-    return Distribution.exact_weights(w)
+    return Distribution.exact_weights(
+        Fraction(int(w), p * p) for w in stationary_numerators(p)
+    )
 
 
 @dataclass(frozen=True)
@@ -322,9 +320,7 @@ def mixing_time(
 
 def stationary_array(p: int) -> np.ndarray:
     """Float projection of the invariant law for state count p."""
-    pi = np.full(p, (p + 1) / p**2)
-    pi[0] = 1 / p**2
-    return pi
+    return stationary_numerators(p) / p**2
 
 
 def boost_epsilon(tau_base: int, epsilon: float) -> int:
@@ -351,24 +347,18 @@ class WalkTrace:
     quadrances: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)  # array fields: identity equality
 class SimulationResult:
     """Empirical output of seeded plane walks started at the origin."""
 
-    __slots__ = (
-        "p", "steps", "trials", "seed",
-        "quadrance_counts", "plane_counts", "empirical", "trace",
-    )
-
-    def __init__(self, p, steps, trials, seed, quadrance_counts, plane_counts,
-                 empirical, trace):
-        self.p = p
-        self.steps = steps
-        self.trials = trials
-        self.seed = seed
-        self.quadrance_counts = quadrance_counts
-        self.plane_counts = plane_counts
-        self.empirical = empirical
-        self.trace = trace
+    p: int
+    steps: int
+    trials: int
+    seed: int
+    quadrance_counts: np.ndarray
+    plane_counts: np.ndarray
+    empirical: Distribution
+    trace: WalkTrace
 
 
 def simulate(

@@ -181,13 +181,13 @@ def test_criterion_06_spectral_bounds(chain, spectra):
                 f"p={p}: lambda_min {spectral.lambda_min} < {cf.alpha_min_lower}"
             )
         comp = comparison_bound(
-            kernel, pi, equilibrium_kernel(m), pi, default_paths(m)
+            kernel, pi, equilibrium_kernel(m), pi, default_paths(kernel)
         )
         if spectral.lambda1 > comp.alpha_upper(0.0) + 1e-9:
             failures.append(
                 f"p={p}: lambda1 {spectral.lambda1} > path bound {comp.alpha_upper(0.0)}"
             )
-        cyc = odd_cycle_bound(kernel, pi, default_cycles(m))
+        cyc = odd_cycle_bound(kernel, pi, default_cycles(kernel))
         if spectral.lambda_min < cyc.alpha_min_lower - 1e-9:
             failures.append(
                 f"p={p}: lambda_min {spectral.lambda_min} < cycle bound "

@@ -135,7 +135,7 @@ def test_comparison_self_with_single_edge_paths(chain):
 def test_comparison_equilibrium_with_default_paths(chain):
     for p in [7, 11, 19]:
         m, _, k, pi = chain(p)
-        paths = default_paths(m)
+        paths = default_paths(k)
         comp = comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
         assert comp.A > 1
         assert comp.a == pytest.approx(1.0)
@@ -148,7 +148,7 @@ def test_comparison_equilibrium_with_default_paths(chain):
 
 def test_comparison_missing_path(chain):
     m, _, k, pi = chain(7)
-    paths = default_paths(m)
+    paths = default_paths(k)
     del paths[(2, 5)]
     with pytest.raises(MissingPath):
         comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
@@ -156,15 +156,24 @@ def test_comparison_missing_path(chain):
 
 def test_comparison_invalid_path_edge(chain):
     m, _, k, pi = chain(7)
-    paths = default_paths(m)
+    paths = default_paths(k)
     paths[(2, 5)] = (2, 5) if k.matrix[2, 5] == 0 else (2, 0, 5)
     with pytest.raises(InvalidPathEdge):
+        comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
+    mid = default_paths(k)[(2, 5)][1]
+    paths[(2, 5)] = (mid, 5)
+    with pytest.raises(InvalidPathEdge,
+                       match=r"^path for \(2, 5\) must run from 2 to 5$"):
+        comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
+    paths[(2, 5)] = (2, mid, 2, mid, 5)
+    with pytest.raises(InvalidPathEdge,
+                       match=rf"^path for \(2, 5\) repeats edge \(2, {mid}\)$"):
         comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
 
 
 def test_default_paths_shapes(chain):
     m, _, k, pi = chain(7)
-    paths = default_paths(m)
+    paths = default_paths(k)
     assert paths[(0, 1)] == (0, 1)
     assert len(paths[(0, 3)]) == 4 and paths[(0, 3)][:2] == (0, 1)
     assert len(paths[(2, 5)]) == 3
@@ -178,7 +187,7 @@ def test_default_paths_shapes(chain):
 
 def test_default_paths_use_smallest_intermediate(chain):
     m, _, k, _ = chain(11)
-    paths = default_paths(m)
+    paths = default_paths(k)
     support = k.matrix > 0
     for r in range(1, 11):
         for s in range(r + 1, 11):
@@ -197,7 +206,7 @@ def test_cycle_length_by_chain_self_loop(chain):
 def test_default_cycles_valid_and_short(chain):
     for p in [7, 11, 19]:
         m, _, k, pi = chain(p)
-        cycles = default_cycles(m)
+        cycles = default_cycles(k)
         support = k.matrix > 0
         assert set(cycles) == set(range(p))
         for x, cycle in cycles.items():
@@ -214,14 +223,14 @@ def test_default_cycles_valid_and_short(chain):
 def test_odd_cycle_bound_validates_spectrum(chain):
     for p in [7, 11, 19]:
         m, _, k, pi = chain(p)
-        bound = odd_cycle_bound(k, pi, default_cycles(m))
+        bound = odd_cycle_bound(k, pi, default_cycles(k))
         spectral = spectrum(k, pi)
         assert spectral.lambda_min >= bound.alpha_min_lower - 1e-9
 
 
 def test_odd_cycle_bound_rejects_even_cycle(chain):
     m, _, k, pi = chain(7)
-    cycles = dict(default_cycles(m))
+    cycles = dict(default_cycles(k))
     assert k.matrix[2, 3] > 0 and k.matrix[3, 2] > 0
     cycles[2] = (2, 3, 2)  # two edges
     with pytest.raises(EvenCycle):
@@ -230,10 +239,17 @@ def test_odd_cycle_bound_rejects_even_cycle(chain):
 
 def test_odd_cycle_bound_rejects_bad_edge(chain):
     m, _, k, pi = chain(7)
-    cycles = dict(default_cycles(m))
+    cycles = dict(default_cycles(k))
     assert k.matrix[5, 5] == 0
     cycles[5] = (5, 5)
     with pytest.raises(InvalidCycleEdge):
+        odd_cycle_bound(k, pi, cycles)
+    assert k.matrix[2, 2] > 0
+    cycles[2] = (2, 2, 3)
+    with pytest.raises(InvalidCycleEdge, match="^cycle for 2 must start and end at 2$"):
+        odd_cycle_bound(k, pi, cycles)
+    cycles[2] = (2, 2, 2, 2)  # three edges, all the same loop
+    with pytest.raises(InvalidCycleEdge, match=r"^cycle for 2 repeats edge \(2, 2\)$"):
         odd_cycle_bound(k, pi, cycles)
 
 

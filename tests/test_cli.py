@@ -2,10 +2,13 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
+from circlewalk.circles import structure_constant_bruteforce
 from circlewalk.cli import main
+from circlewalk.modular import make_modulus
 
 
 def run(capsys, *argv):
@@ -29,6 +32,40 @@ def test_constants_p7(capsys):
     by_key = {(r[0], r[1], r[2]): (r[3], r[4]) for r in rows}
     assert by_key[("1", "1", "0")] == ("1", "8")
     assert by_key[("0", "5", "5")] == ("1", "1")
+
+
+def test_constants_rows_match_bruteforce(capsys):
+    p = 11
+    m = make_modulus(p)
+    _, out, _ = run(capsys, "constants", "--p", "11")
+    _, csv_rows = parse_csv(out)
+    _, js, _ = run(capsys, "constants", "--p", "11", "--format", "json")
+    rows = json.loads(js)["rows"]
+    assert [[int(v) for v in r] for r in csv_rows] == rows
+    assert [r[:3] for r in rows] == [
+        [i, j, k] for i in range(p) for j in range(p) for k in range(p)
+    ]
+    for i, j, k, num, den in rows:
+        assert den == (1 if i == 0 or j == 0 else p + 1)
+        assert Fraction(num, den) == structure_constant_bruteforce(m, i, j, k)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["constants", "--p", "523"], "p=523 exceeds the export gate 512; use --force"),
+    (["axioms", "--p", "523"], "p=523 exceeds the dense-table limit 512"),
+    (["mix", "--p", "503"],
+     "p=503 exceeds the all-starts mixing gate 499; use --force"),
+])
+def test_size_gates_fire_before_any_work(capsys, monkeypatch, argv, message):
+    import circlewalk.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the gate")
+
+    # work past the gate would end in exit 4, not the usage exit 1
+    monkeypatch.setattr(cli_mod.circles_mod, "StructureTensor", no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", message + "\n")
 
 
 def test_constants_invalid_modulus_exit_2(capsys):
@@ -214,6 +251,35 @@ def test_scan_coupling_tau_scales_linearly(capsys):
         p, coupling_tau = int(r[0]), int(r[2])
         if p >= 23:
             assert 4 <= coupling_tau / p <= 10
+
+
+def test_scan_pool_no_larger_than_task_list(capsys, monkeypatch):
+    import circlewalk.cli as cli_mod
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InProcessPool)
+    _, serial, _ = run(capsys, "scan", "--p-min", "7", "--p-max", "11", "--jobs", "1")
+    code, out, _ = run(capsys, "scan", "--p-min", "7", "--p-max", "11",
+                       "--jobs", "5000")
+    assert (code, out) == (0, serial)
+    monkeypatch.setenv("CIRCLEWALK_JOBS", "5000")
+    code, out, _ = run(capsys, "scan", "--p-min", "7", "--p-max", "11")
+    assert (code, out) == (0, serial)
+    assert sizes == [2, 2]  # two primes, 7 and 11
 
 
 def test_jobs_env_override(monkeypatch):

@@ -1,11 +1,17 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from circlewalk.circles import StructureTensor, quadrance
-from circlewalk.modular import make_modulus
+from circlewalk.circles import (
+    StructureTensor,
+    circle_size,
+    pair_quadrance_counts,
+    quadrance,
+)
+from circlewalk.modular import make_modulus, primes_3_mod_4
 from circlewalk.walk import (
     DEFAULT_EPSILON,
     BadEpsilon,
@@ -20,6 +26,7 @@ from circlewalk.walk import (
     mixing_time,
     simulate,
     stationary,
+    stationary_array,
     tv_distance,
 )
 
@@ -39,6 +46,18 @@ def test_kernel_invariants(chain):
     assert (k.scaled >= 0).all()
 
 
+@pytest.mark.parametrize("p", [7, 11, 19])
+def test_kernel_matches_pair_counts_for_every_generator(p, chain):
+    # pins each kernel to brute-force pair counting, not only to the table
+    m, t, _, _ = chain(p)
+    for g in range(1, p):
+        k = build_kernel(t, g)
+        for i in range(p):
+            total = circle_size(m, i) * circle_size(m, g)
+            counts = pair_quadrance_counts(m, i, g)
+            assert (k.scaled[i] * total == counts * (p + 1)).all()
+
+
 def test_zero_generator_rejected(chain):
     _, t, _, _ = chain(7)
     with pytest.raises(ZeroGenerator):
@@ -54,6 +73,12 @@ def test_stationary_examples():
     assert pi11.weights[0] == Fraction(1, 121)
     assert all(w == Fraction(12, 121) for w in pi11.weights[1:])
     assert sum(pi11.weights) == 1
+
+
+def test_stationary_array_is_the_exact_law_in_float64():
+    for p in primes_3_mod_4(7, 499):
+        exact = stationary(make_modulus(p)).to_array()
+        assert np.array_equal(stationary_array(p), exact)
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -220,6 +245,8 @@ def test_simulate_zero_and_one_step():
     assert zero.quadrance_counts[0] == 500
     one = simulate(m, steps=1, trials=500, seed=1)
     assert one.quadrance_counts[1] == 500
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.steps = 2
 
 
 def test_simulate_reproducible_and_seed_sensitive():
