@@ -19,6 +19,14 @@ from .modular import PrimeModulus, Squareness, is_square, sqrt_mod
 
 # Dense coefficient tables hold p^3 small ints; keep them desk-scale.
 DENSE_TABLE_LIMIT = 512
+# The O(p^5) associativity check takes about half a minute at p = 199 on
+# one core; past this gate it needs --force.
+AXIOM_CHECK_GATE = 199
+
+# float32 holds every integer of magnitude up to 2^24 exactly.
+_FLOAT32_EXACT = 2**24
+# Rows of j contracted per matmul: keeps temporaries at O(p^2).
+_ASSOC_BLOCK = 16
 
 
 def _check_index(p: int, k: int) -> None:
@@ -216,15 +224,60 @@ def _first_witness(bad: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in where[0]) if where.size else None
 
 
+def contraction_dtype(table: np.ndarray) -> type:
+    """Cheapest dtype in which ``associativity_witness`` is exact on table.
+
+    Every term and partial sum of sum_t e[i,j,t] e[t,k,m] (or of the
+    right-hand side) is an integer of magnitude at most
+    B = max_{i,j} sum_t |e[i,j,t]| * max |e|. Below 2^24 float32 holds
+    every such value exactly, in any summation order; a valid table has
+    B = (p+1)^2. Larger tampered tables fall back to int64, and past 2^63
+    to Python integers.
+    """
+    row_l1 = max(
+        int(np.abs(block, dtype=np.int64).sum(axis=1).max()) for block in table
+    )
+    bound = row_l1 * max(int(table.max()), -int(table.min()))
+    if bound < _FLOAT32_EXACT:
+        return np.float32
+    if bound < 2**63:
+        return np.int64
+    return object
+
+
+def associativity_witness(table: np.ndarray, dtype) -> tuple[int, ...] | None:
+    """First (i, j, k, m) in C order with sum_t e[i,j,t] e[t,k,m] !=
+    sum_t e[j,k,t] e[i,t,m], or None when the product is associative.
+
+    Contracts one i-slice at a time in blocks of j rows, with matmuls in
+    ``dtype``; the answer is exact when ``contraction_dtype`` allows it.
+    """
+    p = table.shape[0]
+    f = table.astype(dtype)
+    by_t = f.reshape(p, p * p)  # [t, k*m]
+    by_jk = f.reshape(p * p, p)  # [j*k, t]
+    for i in range(p):
+        for j0 in range(0, p, _ASSOC_BLOCK):
+            j1 = min(j0 + _ASSOC_BLOCK, p)
+            lhs = f[i, j0:j1] @ by_t  # [j, k*m] = sum_t e[i,j,t] e[t,k,m]
+            rhs = by_jk[j0 * p:j1 * p] @ f[i]  # [j*k, m] = sum_t e[j,k,t] e[i,t,m]
+            bad = lhs.reshape(j1 - j0, p, p) != rhs.reshape(j1 - j0, p, p)
+            if bad.any():
+                j, k, m = np.argwhere(bad)[0]
+                return (i, j0 + int(j), int(k), int(m))
+    return None
+
+
 def validate_axioms(tensor: StructureTensor) -> AxiomReport:
     """Check positivity, normalization, commutativity, hermitian support
-    at index 0, and associativity, all in exact integer arithmetic.
+    at index 0, and associativity, all exactly.
 
     Works on numerators over the common denominator p + 1, so every
-    comparison is exact. Associativity compares sum_t n_ij^t n_tk^m with
-    sum_t n_jk^t n_it^m for all quadruples, processed one i at a time to
-    keep memory at O(p^3); the contracted values stay below (p+1)^2, so
-    int32 arithmetic is exact.
+    comparison is between integers. Associativity compares
+    sum_t n_ij^t n_tk^m with sum_t n_jk^t n_it^m for all quadruples in
+    BLAS float32 when ``contraction_dtype`` proves that exact, which it
+    does for every valid table up to DENSE_TABLE_LIMIT, and in integers
+    otherwise.
     """
     p = tensor.p
     e = tensor.scaled_table()
@@ -252,16 +305,7 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
         "hermitian_support", not herm_bad.any(), herm_witness
     )
 
-    assoc_witness = None
-    flat = e.reshape(p * p, p)
-    for i in range(p):
-        lhs = e[i] @ e.reshape(p, p * p)  # [j, k*m] = sum_t e[i,j,t] e[t,k,m]
-        rhs = (flat @ e[i]).reshape(p, p, p)  # [j, k, m] = sum_t e[j,k,t] e[i,t,m]
-        bad = lhs.reshape(p, p, p) != rhs
-        if bad.any():
-            j, k, m = np.argwhere(bad)[0]
-            assoc_witness = (i, int(j), int(k), int(m))
-            break
+    assoc_witness = associativity_witness(e, contraction_dtype(e))
     associativity = AxiomCheck("associativity", assoc_witness is None, assoc_witness)
 
     return AxiomReport(

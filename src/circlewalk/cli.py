@@ -94,6 +94,21 @@ def _constant_rows(tensor, i: int):
                 yield i, j, k, n, p + 1
 
 
+# one exported row as json.dumps(..., indent=2) lays it out inside "rows"
+_JSON_ROW = "    [\n" + ",\n".join(["      %d"] * 5) + "\n    ]"
+
+
+def _constants_json_chunks(tensor):
+    """The text of json.dumps({"p": p, "rows": rows}, indent=2) + "\n",
+    one chunk per i-block, so memory stays at O(p^2)."""
+    p = tensor.p
+    yield f'{{\n  "p": {p},\n  "rows": [\n'
+    for i in range(p):
+        text = ",\n".join(_JSON_ROW % row for row in _constant_rows(tensor, i))
+        yield text if i == 0 else ",\n" + text
+    yield "\n  ]\n}\n"
+
+
 def cmd_constants(args) -> int:
     modulus = make_modulus(args.p)
     p = modulus.p
@@ -104,8 +119,7 @@ def cmd_constants(args) -> int:
         return EXIT_USAGE
     tensor = circles_mod.StructureTensor(modulus)
     if args.format == "json":
-        data = [list(r) for i in range(p) for r in _constant_rows(tensor, i)]
-        _emit([_json_text({"p": p, "rows": data})], args.output)
+        _emit(_constants_json_chunks(tensor), args.output)
     else:
         # one chunk per i-block keeps the text in memory at O(p^2)
         header = ["i", "j", "k", "numerator", "denominator"]
@@ -116,10 +130,15 @@ def cmd_constants(args) -> int:
 
 def cmd_axioms(args) -> int:
     modulus = make_modulus(args.p)
-    gate = circles_mod.DENSE_TABLE_LIMIT
-    if modulus.p > gate:
+    limit = circles_mod.DENSE_TABLE_LIMIT
+    if modulus.p > limit:
         # the check runs on the dense table, which is hard-capped
-        print(f"p={modulus.p} exceeds the dense-table limit {gate}",
+        print(f"p={modulus.p} exceeds the dense-table limit {limit}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    gate = circles_mod.AXIOM_CHECK_GATE
+    if modulus.p > gate and not args.force:
+        print(f"p={modulus.p} exceeds the axiom-check gate {gate}; use --force",
               file=sys.stderr)
         return EXIT_USAGE
     report = circles_mod.validate_axioms(circles_mod.StructureTensor(modulus))

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from circlewalk.circles import structure_constant_bruteforce
+from circlewalk.circles import (
+    AxiomCheck,
+    AxiomReport,
+    StructureTensor,
+    structure_constant_bruteforce,
+)
 from circlewalk.cli import main
 from circlewalk.modular import make_modulus
 
@@ -55,6 +60,11 @@ def test_constants_rows_match_bruteforce(capsys):
     (["axioms", "--p", "523"], "p=523 exceeds the dense-table limit 512"),
     (["mix", "--p", "503"],
      "p=503 exceeds the all-starts mixing gate 499; use --force"),
+    (["axioms", "--p", "211"],
+     "p=211 exceeds the axiom-check gate 199; use --force"),
+    # --force lifts the axiom-check gate, never the dense-table limit
+    (["axioms", "--p", "523", "--force"],
+     "p=523 exceeds the dense-table limit 512"),
 ])
 def test_size_gates_fire_before_any_work(capsys, monkeypatch, argv, message):
     import circlewalk.cli as cli_mod
@@ -66,6 +76,44 @@ def test_size_gates_fire_before_any_work(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli_mod.circles_mod, "StructureTensor", no_work)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_constants_json_streams_the_json_dumps_text(capsys, p):
+    tensor = StructureTensor(make_modulus(p))
+    rows = []
+    for i in range(p):
+        for j, block_row in enumerate(tensor.numerators(i).tolist()):
+            for k, n in enumerate(block_row):
+                identity = i == 0 or j == 0
+                rows.append([i, j, k, n // (p + 1) if identity else n,
+                             1 if identity else p + 1])
+    code, out, _ = run(capsys, "constants", "--p", str(p), "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"p": p, "rows": rows}, indent=2) + "\n"
+
+
+def test_axioms_force_reaches_the_check(capsys, monkeypatch):
+    import circlewalk.cli as cli_mod
+
+    names = ["positivity", "normalization", "commutativity",
+             "hermitian_support", "associativity"]
+    canned = AxiomReport(*(AxiomCheck(n, True) for n in names))
+    seen = []
+
+    def fake_validate(tensor):
+        seen.append(tensor.p)
+        return canned
+
+    monkeypatch.setattr(cli_mod.circles_mod, "validate_axioms", fake_validate)
+    code, out, _ = run(capsys, "axioms", "--p", "211", "--force",
+                       "--format", "json")
+    assert (code, seen) == (0, [211])
+    assert json.loads(out) == {
+        "p": 211,
+        "all_passed": True,
+        "axioms": {n: {"passed": True, "witness": None} for n in names},
+    }
 
 
 def test_constants_invalid_modulus_exit_2(capsys):
