@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circles import StructureTensor
+from .circles import StructureTensor, exact_dtype
 from .modular import PrimeModulus
 from .walk import (
     DEFAULT_EPSILON,
@@ -41,9 +41,6 @@ from .walk import (
     stationary,
     stationary_numerators,
 )
-
-# K^4 is computed in exact integers up to here; float64 with slack above.
-MINORIZATION_EXACT_GATE = 199
 
 PathAssignment = Mapping[tuple[int, int], Sequence[int]]
 CycleCollection = Mapping[int, Sequence[int]]
@@ -455,110 +452,68 @@ def coupling_bound(
 
 @dataclass(frozen=True)
 class MinorizationReport:
-    """Entrywise check of K^4(i, j) >= claimed * pi(j).
+    """Exact entrywise check of K^4(i, j) >= claimed * pi(j).
 
-    ``min_ratio`` is the smallest K^4(i, j) / pi(j); exact reports carry it
-    as a Fraction. ``all_positive`` records strict positivity of K^4.
+    ``min_ratio`` is the smallest K^4(i, j) / pi(j) as a Fraction.
+    ``all_positive`` records strict positivity of K^4.
     """
 
     holds: bool
-    min_ratio: Fraction | float
+    min_ratio: Fraction
     claimed: Fraction
     witness: tuple[int, int] | None
     all_positive: bool
-    exact: bool
 
 
 def minorization_check(
-    kernel: StochasticKernel, dist: Distribution, exact: bool | None = None
+    kernel: StochasticKernel, dist: Distribution
 ) -> MinorizationReport:
     """Verify the four-step minorization of the kernel by the invariant law.
 
-    Exact mode raises the scaled kernel to the fourth power in integers
-    (entries stay below denominator^4, safe for int64 at the gated sizes);
-    float mode allows 1e-12 slack.
+    Raises the scaled kernel to the fourth power in exact arithmetic. Every
+    term and partial sum is a nonnegative integer at most denominator^4,
+    so ``exact_dtype`` picks float BLAS while that is below 2^53 (p up to
+    9739 for the circle walk), then int64, then Python integers.
     """
     p = kernel.p
-    if exact is None:
-        exact = p <= MINORIZATION_EXACT_GATE
     claimed = Fraction(p * p * (p - 1), (1 + p) ** 4)
-    pi = dist.weights
-
-    if exact:
-        if kernel.denominator**4 > np.iinfo(np.int64).max:
-            raise ValueError("denominator too large for exact int64 powers")
-        e2 = kernel.scaled @ kernel.scaled
-        e4 = e2 @ e2
-        den4 = kernel.denominator**4
-        # entries of K^4 scale with pi only columnwise, so one exact ratio
-        # per column suffices
-        col_min = e4.min(axis=0)
-        col_arg = e4.argmin(axis=0)
-        min_ratio = None
-        witness = None
-        for j in range(p):
-            ratio = Fraction(int(col_min[j]), den4) / pi[j]
-            if min_ratio is None or ratio < min_ratio:
-                min_ratio = ratio
-                witness = (int(col_arg[j]), j)
-        holds = min_ratio >= claimed
-        all_positive = bool((e4 > 0).all())
-    else:
-        k4 = np.linalg.matrix_power(kernel.matrix, 4)
-        pif = dist.to_array()
-        ratios = k4 / pif[None, :]
-        flat = int(np.argmin(ratios))
-        witness = (flat // p, flat % p)
-        min_ratio = float(ratios.min())
-        holds = bool(min_ratio >= float(claimed) - 1e-12)
-        all_positive = bool((k4 > 0).all())
-
+    den4 = kernel.denominator**4
+    s = kernel.scaled.astype(exact_dtype(den4))
+    e2 = s @ s
+    e4 = e2 @ e2
+    # entries of K^4 scale with pi only columnwise, so one exact ratio per
+    # column suffices; min takes the first smallest column
+    ratios = [Fraction(int(n), den4) / w
+              for n, w in zip(e4.min(axis=0), dist.weights)]
+    j = min(range(p), key=ratios.__getitem__)
+    holds = ratios[j] >= claimed
     return MinorizationReport(
         holds=holds,
-        min_ratio=min_ratio,
+        min_ratio=ratios[j],
         claimed=claimed,
-        witness=None if holds else witness,
-        all_positive=all_positive,
-        exact=exact,
+        witness=None if holds else (int(e4[:, j].argmin()), j),
+        all_positive=bool((e4 > 0).all()),
     )
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bounds for one modulus, measured and closed-form side by side."""
+    """All bounds for one modulus, measured and closed-form side by side.
+
+    The fields, in order, are the ``bounds`` output columns.
+    """
 
     p: int
-    epsilon: float
     lambda1: float
     lambda_min: float
     alpha_star: float
     comparison_A: float
-    comparison_alpha1_upper: float
     v: float
-    cycle_alpha_min_lower: float
-    closed_form_A: float
-    closed_form_v: float
-    closed_alpha1_upper: float
-    closed_alpha_min_lower: float
+    alpha1_upper_closed: float
+    alpha_min_lower_closed: float
     coupling_n: int
     coupling_tau: int
-    closed_form_n: int
     tau_measured: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "lambda1": self.lambda1,
-            "lambda_min": self.lambda_min,
-            "alpha_star": self.alpha_star,
-            "comparison_A": self.comparison_A,
-            "v": self.v,
-            "alpha1_upper_closed": self.closed_alpha1_upper,
-            "alpha_min_lower_closed": self.closed_alpha_min_lower,
-            "coupling_n": self.coupling_n,
-            "coupling_tau": self.coupling_tau,
-            "tau_measured": self.tau_measured,
-        }
 
 
 def bound_report(
@@ -587,20 +542,14 @@ def bound_report(
         tau = mixing_time(kernel, epsilon, starts=range(modulus.p)).tau
     return BoundReport(
         p=modulus.p,
-        epsilon=epsilon,
         lambda1=spectral.lambda1,
         lambda_min=spectral.lambda_min,
         alpha_star=spectral.alpha_star,
         comparison_A=comp.A,
-        comparison_alpha1_upper=comp.alpha_upper(0.0),
         v=cyc.v,
-        cycle_alpha_min_lower=cyc.alpha_min_lower,
-        closed_form_A=closed.A,
-        closed_form_v=closed.v,
-        closed_alpha1_upper=closed.alpha1_upper,
-        closed_alpha_min_lower=closed.alpha_min_lower,
+        alpha1_upper_closed=closed.alpha1_upper,
+        alpha_min_lower_closed=closed.alpha_min_lower,
         coupling_n=coup.n,
         coupling_tau=coup.tau_bound,
-        closed_form_n=coup.closed_form_n,
         tau_measured=tau,
     )

@@ -23,8 +23,6 @@ DENSE_TABLE_LIMIT = 512
 # one core; past this gate it needs --force.
 AXIOM_CHECK_GATE = 199
 
-# float32 holds every integer of magnitude up to 2^24 exactly.
-_FLOAT32_EXACT = 2**24
 # Rows of j contracted per matmul: keeps temporaries at O(p^2).
 _ASSOC_BLOCK = 16
 
@@ -224,25 +222,31 @@ def _first_witness(bad: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in where[0]) if where.size else None
 
 
+def exact_dtype(bound: int) -> type:
+    """Cheapest dtype holding every integer of magnitude up to ``bound``
+    exactly: float32 below 2^24 and float64 below 2^53, where BLAS sums
+    and products of such integers are exact in any order, then int64
+    below 2^63, else Python integers (``object``)."""
+    for dtype, limit in ((np.float32, 2**24), (np.float64, 2**53),
+                         (np.int64, 2**63)):
+        if bound < limit:
+            return dtype
+    return object
+
+
 def contraction_dtype(table: np.ndarray) -> type:
     """Cheapest dtype in which ``associativity_witness`` is exact on table.
 
     Every term and partial sum of sum_t e[i,j,t] e[t,k,m] (or of the
     right-hand side) is an integer of magnitude at most
-    B = max_{i,j} sum_t |e[i,j,t]| * max |e|. Below 2^24 float32 holds
-    every such value exactly, in any summation order; a valid table has
-    B = (p+1)^2. Larger tampered tables fall back to int64, and past 2^63
-    to Python integers.
+    B = max_{i,j} sum_t |e[i,j,t]| * max |e|, and ``exact_dtype(B)``
+    holds them all. A valid table has B = (p+1)^2, so float32; tampered
+    tables may need float64, int64 or Python integers.
     """
     row_l1 = max(
         int(np.abs(block, dtype=np.int64).sum(axis=1).max()) for block in table
     )
-    bound = row_l1 * max(int(table.max()), -int(table.min()))
-    if bound < _FLOAT32_EXACT:
-        return np.float32
-    if bound < 2**63:
-        return np.int64
-    return object
+    return exact_dtype(row_l1 * max(int(table.max()), -int(table.min())))
 
 
 def associativity_witness(table: np.ndarray, dtype) -> tuple[int, ...] | None:
@@ -275,9 +279,8 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
     Works on numerators over the common denominator p + 1, so every
     comparison is between integers. Associativity compares
     sum_t n_ij^t n_tk^m with sum_t n_jk^t n_it^m for all quadruples in
-    BLAS float32 when ``contraction_dtype`` proves that exact, which it
-    does for every valid table up to DENSE_TABLE_LIMIT, and in integers
-    otherwise.
+    the dtype ``contraction_dtype`` proves exact: BLAS float32 for every
+    valid table up to DENSE_TABLE_LIMIT.
     """
     p = tensor.p
     e = tensor.scaled_table()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -27,17 +28,6 @@ EXIT_NOT_MIXED = 3
 EXIT_INVARIANT = 4
 
 
-def _default_jobs() -> int:
-    # the only environment variable consulted anywhere
-    env = os.environ.get("CIRCLEWALK_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
@@ -53,13 +43,21 @@ def fmt(x) -> str:
     return "" if x is None else str(x)
 
 
+class _OutputError(Exception):
+    """The --output file cannot be opened for writing."""
+
+
 def _emit(chunks, output: str | None) -> None:
     """Write text chunks, in order, to stdout or to the file ``output``."""
     if output is None or output == "-":
         sys.stdout.writelines(chunks)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+        return
+    try:
+        fh = open(output, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _OutputError(f"cannot write output: {exc}") from exc
+    with fh:
+        fh.writelines(chunks)
 
 
 def _csv_text(header: list[str] | None, rows) -> str:
@@ -73,12 +71,23 @@ def _csv_text(header: list[str] | None, rows) -> str:
     return buf.getvalue()
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _write(args, obj, header: list[str], rows) -> None:
+    """Write ``obj`` as indented JSON or ``header`` and ``rows`` as CSV,
+    as ``--format`` asks. json.dumps prints floats by repr, which round
+    trips like the CSV's 17 significant digits."""
+    if args.format == "json":
+        _emit([json.dumps(obj, indent=2) + "\n"], args.output)
+    else:
+        _emit([_csv_text(header, rows)], args.output)
 
 
-def _json_float(x):
-    return None if x is None else float(fmt(x))
+def _past_gate(args, p: int, gate: int, name: str) -> bool:
+    """Whether p exceeds a size gate that --force did not lift; if so,
+    the usage message is already printed."""
+    if p > gate and not args.force:
+        print(f"p={p} exceeds the {name} {gate}; use --force", file=sys.stderr)
+        return True
+    return False
 
 
 def _constant_rows(tensor, i: int):
@@ -112,10 +121,7 @@ def _constants_json_chunks(tensor):
 def cmd_constants(args) -> int:
     modulus = make_modulus(args.p)
     p = modulus.p
-    gate = circles_mod.DENSE_TABLE_LIMIT
-    if p > gate and not args.force:
-        print(f"p={p} exceeds the export gate {gate}; use --force",
-              file=sys.stderr)
+    if _past_gate(args, p, circles_mod.DENSE_TABLE_LIMIT, "export gate"):
         return EXIT_USAGE
     tensor = circles_mod.StructureTensor(modulus)
     if args.format == "json":
@@ -136,29 +142,23 @@ def cmd_axioms(args) -> int:
         print(f"p={modulus.p} exceeds the dense-table limit {limit}",
               file=sys.stderr)
         return EXIT_USAGE
-    gate = circles_mod.AXIOM_CHECK_GATE
-    if modulus.p > gate and not args.force:
-        print(f"p={modulus.p} exceeds the axiom-check gate {gate}; use --force",
-              file=sys.stderr)
+    if _past_gate(args, modulus.p, circles_mod.AXIOM_CHECK_GATE,
+                  "axiom-check gate"):
         return EXIT_USAGE
     report = circles_mod.validate_axioms(circles_mod.StructureTensor(modulus))
     checks = report.checks()
-    if args.format == "json":
-        obj = {
-            "p": modulus.p,
-            "all_passed": report.all_passed,
-            "axioms": {
-                c.name: {"passed": c.passed, "witness": c.witness}
-                for c in checks
-            },
-        }
-        _emit([_json_text(obj)], args.output)
-    else:
-        rows = [
-            (c.name, c.passed, "" if c.witness is None else ";".join(map(str, c.witness)))
-            for c in checks
-        ]
-        _emit([_csv_text(["axiom", "passed", "witness"], rows)], args.output)
+    obj = {
+        "p": modulus.p,
+        "all_passed": report.all_passed,
+        "axioms": {
+            c.name: {"passed": c.passed, "witness": c.witness} for c in checks
+        },
+    }
+    rows = [
+        (c.name, c.passed, "" if c.witness is None else ";".join(map(str, c.witness)))
+        for c in checks
+    ]
+    _write(args, obj, ["axiom", "passed", "witness"], rows)
     return EXIT_OK if report.all_passed else EXIT_INVARIANT
 
 
@@ -166,61 +166,46 @@ def cmd_stationary(args) -> int:
     p = make_modulus(args.p).p
     # p + 1 and p^2 are coprime, so these are the reduced fractions
     numerators = walk_mod.stationary_numerators(p).tolist()
-    if args.format == "json":
-        obj = {"p": p, "denominator": p**2, "numerators": numerators}
-        _emit([_json_text(obj)], args.output)
-    else:
-        rows = [(k, n, p**2) for k, n in enumerate(numerators)]
-        _emit([_csv_text(["k", "numerator", "denominator"], rows)], args.output)
+    obj = {"p": p, "denominator": p**2, "numerators": numerators}
+    rows = [(k, n, p**2) for k, n in enumerate(numerators)]
+    _write(args, obj, ["k", "numerator", "denominator"], rows)
     return EXIT_OK
 
 
 def cmd_mix(args) -> int:
     modulus = make_modulus(args.p)
-    gate = walk_mod.MIXING_START_GATE
-    if modulus.p > gate and not args.force:
-        print(f"p={modulus.p} exceeds the all-starts mixing gate {gate}; "
-              "use --force", file=sys.stderr)
+    if _past_gate(args, modulus.p, walk_mod.MIXING_START_GATE,
+                  "all-starts mixing gate"):
         return EXIT_USAGE
     kernel = walk_mod.build_kernel(circles_mod.StructureTensor(modulus))
     # every circle is a start; past the gate only --force gets here
     report = walk_mod.mixing_time(kernel, args.eps, starts=range(modulus.p))
-    if args.format == "json":
-        obj = {
-            "p": modulus.p,
-            "epsilon": _json_float(report.epsilon),
-            "tau": report.tau,
-            "worst_start": report.worst_start,
-            "tv_curve": [_json_float(v) for v in report.tv_curve],
-        }
-        _emit([_json_text(obj)], args.output)
-    else:
-        rows = [
-            (t, report.tv_curve[t], report.curve_starts[t])
-            for t in range(report.tau + 1)
-        ]
-        _emit([_csv_text(["t", "worst_tv", "worst_start"], rows)], args.output)
+    obj = {
+        "p": modulus.p,
+        "epsilon": report.epsilon,
+        "tau": report.tau,
+        "worst_start": report.worst_start,
+        "tv_curve": report.tv_curve,
+    }
+    rows = zip(range(report.tau + 1), report.tv_curve, report.curve_starts)
+    _write(args, obj, ["t", "worst_tv", "worst_start"], rows)
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     modulus = make_modulus(args.p)
-    tensor = circles_mod.StructureTensor(modulus)
-    kernel = walk_mod.build_kernel(tensor)
+    kernel = walk_mod.build_kernel(circles_mod.StructureTensor(modulus))
     spectral = bounds_mod.spectrum(kernel, walk_mod.stationary(modulus))
-    if args.format == "json":
-        obj = {
-            "p": modulus.p,
-            "eigenvalues": [_json_float(v) for v in spectral.eigenvalues],
-            "lambda1": _json_float(spectral.lambda1),
-            "lambda_min": _json_float(spectral.lambda_min),
-            "alpha_star": _json_float(spectral.alpha_star),
-            "gap": _json_float(spectral.gap),
-        }
-        _emit([_json_text(obj)], args.output)
-    else:
-        rows = [(i, float(v)) for i, v in enumerate(spectral.eigenvalues)]
-        _emit([_csv_text(["index", "eigenvalue"], rows)], args.output)
+    eigenvalues = spectral.eigenvalues.tolist()
+    obj = {
+        "p": modulus.p,
+        "eigenvalues": eigenvalues,
+        "lambda1": spectral.lambda1,
+        "lambda_min": spectral.lambda_min,
+        "alpha_star": spectral.alpha_star,
+        "gap": spectral.gap,
+    }
+    _write(args, obj, ["index", "eigenvalue"], enumerate(eigenvalues))
     return EXIT_OK
 
 
@@ -228,34 +213,26 @@ def cmd_bounds(args) -> int:
     modulus = make_modulus(args.p)
     measure = modulus.p <= walk_mod.MIXING_START_GATE or args.force
     report = bounds_mod.bound_report(modulus, args.eps, measure_mixing=measure)
-    obj = {k: (_json_float(v) if isinstance(v, float) else v)
-           for k, v in report.to_json_dict().items()}
-    if args.format == "json":
-        _emit([_json_text(obj)], args.output)
-    else:
-        _emit([_csv_text(list(obj.keys()), [list(obj.values())])], args.output)
+    obj = dataclasses.asdict(report)
+    _write(args, obj, list(obj), [obj.values()])
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     modulus = make_modulus(args.p)
     result = walk_mod.simulate(modulus, args.steps, args.trials, args.seed)
-    if args.format == "json":
-        obj = {
-            "p": modulus.p,
-            "steps": args.steps,
-            "trials": args.trials,
-            "seed": args.seed,
-            "counts": [int(c) for c in result.quadrance_counts],
-            "frequencies": [_json_float(float(w)) for w in result.empirical.weights],
-        }
-        _emit([_json_text(obj)], args.output)
-    else:
-        rows = [
-            (k, int(result.quadrance_counts[k]), float(result.empirical.weights[k]))
-            for k in range(modulus.p)
-        ]
-        _emit([_csv_text(["k", "count", "frequency"], rows)], args.output)
+    counts = result.quadrance_counts.tolist()
+    frequencies = list(result.empirical.weights)
+    obj = {
+        "p": modulus.p,
+        "steps": args.steps,
+        "trials": args.trials,
+        "seed": args.seed,
+        "counts": counts,
+        "frequencies": frequencies,
+    }
+    rows = zip(range(modulus.p), counts, frequencies)
+    _write(args, obj, ["k", "count", "frequency"], rows)
     return EXIT_OK
 
 
@@ -309,21 +286,31 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *, p=True, eps=False, seed=False):
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
-    sub.add_argument("--output", default=None, help="file path, default stdout")
-    sub.add_argument("--force", action="store_true",
-                     help="override size gates")
+def _count(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
+def _add_common(sub, *, p=True, force=False, eps=False):
+    """Register the shared flags that the subcommand reads; ``p`` adds
+    --p and --format, which only the one-prime subcommands take."""
     if p:
         sub.add_argument("--p", type=int, required=True,
                          help="prime modulus, must be 3 (mod 4)")
+        sub.add_argument("--format", choices=["csv", "json"], default="csv")
+    sub.add_argument("--output", default=None, help="file path, default stdout")
+    if force:
+        sub.add_argument("--force", action="store_true",
+                         help="override size gates")
     if eps:
         sub.add_argument("--eps", type=float, default=walk_mod.DEFAULT_EPSILON,
                          help="TV threshold, default 1/(2e)")
-    if seed:
-        sub.add_argument("--seed", type=int, default=42)
-        sub.add_argument("--trials", type=int, default=100000)
-        sub.add_argument("--steps", type=int, default=20)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,20 +318,26 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Circle hypergroup walks over F_p")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("constants", help="export exact product tensor"))
-    _add_common(sub.add_parser("axioms", help="check hypergroup axioms"))
+    _add_common(sub.add_parser("constants", help="export exact product tensor"),
+                force=True)
+    _add_common(sub.add_parser("axioms", help="check hypergroup axioms"),
+                force=True)
     _add_common(sub.add_parser("stationary", help="exact invariant law"))
-    _add_common(sub.add_parser("mix", help="measure worst-start mixing"), eps=True)
+    _add_common(sub.add_parser("mix", help="measure worst-start mixing"),
+                force=True, eps=True)
     _add_common(sub.add_parser("spectrum", help="eigenvalues of the walk"))
     _add_common(sub.add_parser("bounds", help="all bounds for one prime"),
-                eps=True)
-    _add_common(sub.add_parser("simulate", help="seeded plane walks"),
-                seed=True)
+                force=True, eps=True)
+    simulate = sub.add_parser("simulate", help="seeded plane walks")
+    _add_common(simulate)
+    simulate.add_argument("--seed", type=_count(0), default=42)
+    simulate.add_argument("--trials", type=_count(1), default=100000)
+    simulate.add_argument("--steps", type=_count(0), default=20)
     scan = sub.add_parser("scan", help="bound pipeline over a prime range")
     _add_common(scan, p=False, eps=True)
     scan.add_argument("--p-min", type=int, required=True)
     scan.add_argument("--p-max", type=int, required=True)
-    scan.add_argument("--jobs", type=int, default=_default_jobs())
+    scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     return parser
 
 
@@ -372,6 +365,9 @@ def main(argv=None) -> int:
         return EXIT_NOT_MIXED
     except walk_mod.BadEpsilon as exc:
         print(f"bad epsilon: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _OutputError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # invariant violations and unexpected failures
         print(f"internal error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circles import StructureTensor, circle_points, quadrance
+from .circles import StructureTensor, circle_points, exact_dtype, quadrance
 from .modular import PrimeModulus
 
 DEFAULT_EPSILON = 1 / (2 * math.e)
@@ -194,19 +194,26 @@ class BalanceCheck:
 
 
 def detailed_balance(kernel: StochasticKernel, dist: Distribution) -> BalanceCheck:
-    """Exact check of pi(x) K(x, y) == pi(y) K(y, x) for all pairs."""
+    """Exact check of pi(x) K(x, y) == pi(y) K(y, x) for all pairs.
+
+    Over the common denominator of the weights, this compares the integer
+    fluxes num(x) * scaled(x, y) with their transpose, in the dtype
+    ``exact_dtype`` allows; the witness is the first violating (x, y)
+    with x < y in row-major order.
+    """
     if not dist.exact:
         raise ValueError("detailed balance requires an exact distribution")
     if len(dist) != kernel.p:
         raise LengthMismatch(f"{len(dist)} weights vs {kernel.p} states")
-    w = dist.weights
-    e = kernel.scaled
-    for x in range(kernel.p):
-        for y in range(x + 1, kernel.p):
-            lhs = w[x].numerator * int(e[x, y]) * w[y].denominator
-            rhs = w[y].numerator * int(e[y, x]) * w[x].denominator
-            if lhs != rhs:
-                return BalanceCheck(False, (x, y))
+    den = math.lcm(*(w.denominator for w in dist.weights))
+    num = [w.numerator * (den // w.denominator) for w in dist.weights]
+    dtype = exact_dtype(max(num) * int(kernel.scaled.max()))
+    flux = np.array(num, dtype=dtype)[:, None] * kernel.scaled.astype(dtype)
+    # symmetric with a false diagonal: the first hit in row-major order
+    # has x < y
+    bad = np.argwhere(flux != flux.T)
+    if bad.size:
+        return BalanceCheck(False, (int(bad[0, 0]), int(bad[0, 1])))
     return BalanceCheck(True)
 
 

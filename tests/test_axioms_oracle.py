@@ -1,7 +1,8 @@
 """The float32 associativity contraction against exact integer oracles.
 
 ``validate_axioms`` contracts in float32 whenever ``contraction_dtype``
-proves every partial sum below 2^24. Here tampered tables are checked in
+proves every partial sum below 2^24, and in float64, int64 or Python
+integers for larger tampered entries. Here tampered tables are checked in
 float32, in int64, and by a full einsum over all p^5 quadruples; all three
 must name the same first witness, or None.
 """
@@ -79,17 +80,25 @@ def test_swapped_row_pair(p, data):
     assert_paths_agree(table)
 
 
-def test_large_entry_takes_the_int64_path():
+def assert_tampered_entry_takes(value, dtype):
     p = 7
     tensor = StructureTensor(make_modulus(p))
     table = tensor.scaled_table().copy()
-    table[2, 3, 4] = 5000  # B >= 5000^2 > 2^24
-    assert contraction_dtype(table) is np.int64
+    table[2, 3, 4] = value
+    assert contraction_dtype(table) is dtype
     witness = einsum_witness(table)
     assert witness is not None
-    assert associativity_witness(table, np.int64) == witness
+    assert associativity_witness(table, dtype) == witness
     tensor._table = table
     assert validate_axioms(tensor).associativity.witness == witness
+
+
+def test_mid_entry_takes_the_float64_path():
+    assert_tampered_entry_takes(5000, np.float64)  # B >= 5000^2 > 2^24
+
+
+def test_large_entry_takes_the_int64_path():
+    assert_tampered_entry_takes(10**8, np.int64)  # B >= 10^16 > 2^53
 
 
 def test_int32_extremes_take_python_integers():

@@ -1,9 +1,11 @@
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from circlewalk.bounds import (
+    BoundReport,
     EvenCycle,
     InvalidCycleEdge,
     InvalidPathEdge,
@@ -24,6 +26,7 @@ from circlewalk.bounds import (
     spectral_tv_bound,
     spectrum,
 )
+from circlewalk.circles import exact_dtype
 from circlewalk.modular import make_modulus
 from circlewalk.walk import (
     DEFAULT_EPSILON,
@@ -338,7 +341,7 @@ def test_minorization_claim(chain):
     for p in [7, 11, 19, 23]:
         m, _, k, pi = chain(p)
         report = minorization_check(k, pi)
-        assert report.exact
+        assert isinstance(report.min_ratio, Fraction)
         assert report.holds
         assert report.all_positive
         assert report.witness is None
@@ -348,28 +351,53 @@ def test_minorization_claim(chain):
             assert report.min_ratio >= Fraction(294, 4096)
 
 
-def test_minorization_float_mode_agrees(chain):
-    m, _, k, pi = chain(7)
-    exact = minorization_check(k, pi)
-    approx = minorization_check(k, pi, exact=False)
-    assert not approx.exact
-    assert approx.holds and approx.all_positive
-    assert approx.min_ratio == pytest.approx(float(exact.min_ratio), abs=1e-12)
+@pytest.mark.parametrize("p", [211, 499])
+def test_minorization_exact_past_the_old_float_gate(chain, p):
+    _, _, k, pi = chain(p)
+    report = minorization_check(k, pi)
+    # oracle: K^4 in int64 and one Fraction per column over (p+1)^4
+    s = k.scaled.astype(np.int64)
+    e4 = s @ s @ s @ s
+    den4 = (p + 1) ** 4
+    min_ratio = min(
+        Fraction(int(n), den4) / w for n, w in zip(e4.min(axis=0), pi.weights)
+    )
+    assert report.min_ratio == min_ratio
+    assert report.claimed == Fraction(p * p * (p - 1), den4)
+    assert report.holds and report.witness is None
+    assert report.holds == (min_ratio >= report.claimed)
+    assert report.all_positive == bool((e4 > 0).all())
+
+
+@pytest.mark.parametrize("denominator, dtype", [
+    (8, np.float32), (100, np.float64), (10**4, np.int64), (10**5, object),
+])
+def test_minorization_witness_on_a_lazy_kernel(chain, denominator, dtype):
+    _, _, _, pi = chain(7)
+    # a walk that never moves: K^4 = I, so every column's smallest ratio
+    # is 0, first reached in column 0 at row 1
+    lazy = StochasticKernel(denominator * np.eye(7, dtype=np.int64), denominator)
+    assert exact_dtype(denominator**4) is dtype
+    report = minorization_check(lazy, pi)
+    assert (report.holds, report.min_ratio, report.witness) == (False, 0, (1, 0))
+    assert not report.all_positive
 
 
 def test_bound_report_invariants(chain):
     m, _, _, _ = chain(7)
     report = bound_report(m)
-    assert report.comparison_alpha1_upper == pytest.approx(1 - 1 / report.comparison_A)
-    assert report.cycle_alpha_min_lower == pytest.approx(-1 + 2 / report.v)
+    closed = closed_form_bounds(m)
+    assert report.alpha1_upper_closed == closed.alpha1_upper
+    assert report.alpha_min_lower_closed == closed.alpha_min_lower
     assert report.coupling_tau == 4 * report.coupling_n
     assert report.tau_measured == 4
-    keys = list(report.to_json_dict().keys())
+    keys = [f.name for f in fields(BoundReport)]
     assert keys == [
         "p", "lambda1", "lambda_min", "alpha_star", "comparison_A", "v",
         "alpha1_upper_closed", "alpha_min_lower_closed", "coupling_n",
         "coupling_tau", "tau_measured",
     ]
+    assert list(asdict(report)) == keys
 
 
 def test_bound_report_without_mixing(chain):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlewalk.circles import (
     AxiomCheck,
@@ -125,6 +128,44 @@ def test_constants_invalid_modulus_exit_2(capsys):
 def test_constants_not_prime_exit_2(capsys):
     code, _, _ = run(capsys, "constants", "--p", "15")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--p", "7", "--force"],
+    ["spectrum", "--p", "7", "--force"],
+    ["simulate", "--p", "7", "--force"],
+    ["scan", "--p-min", "7", "--p-max", "7", "--force"],
+    ["scan", "--p-min", "7", "--p-max", "7", "--format", "json"],
+])
+def test_unread_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--p", "7", "--trials", "0"],
+     "argument --trials: must be at least 1, got 0"),
+    (["simulate", "--p", "7", "--steps", "-1"],
+     "argument --steps: must be at least 0, got -1"),
+    (["simulate", "--p", "7", "--steps", "x"],
+     "argument --steps: invalid count value: 'x'"),
+])
+def test_bad_simulate_counts_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: circlewalk simulate")
+    assert err.endswith(f"circlewalk simulate: error: {message}\n")
+
+
+def test_unwritable_output_exit_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "constants", "--p", "7", "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("cannot write output: ") and str(target) in err
 
 
 def test_usage_error_exit_1(capsys):
@@ -324,19 +365,7 @@ def test_scan_pool_no_larger_than_task_list(capsys, monkeypatch):
     code, out, _ = run(capsys, "scan", "--p-min", "7", "--p-max", "11",
                        "--jobs", "5000")
     assert (code, out) == (0, serial)
-    monkeypatch.setenv("CIRCLEWALK_JOBS", "5000")
-    code, out, _ = run(capsys, "scan", "--p-min", "7", "--p-max", "11")
-    assert (code, out) == (0, serial)
-    assert sizes == [2, 2]  # two primes, 7 and 11
-
-
-def test_jobs_env_override(monkeypatch):
-    import circlewalk.cli as cli_mod
-
-    monkeypatch.setenv("CIRCLEWALK_JOBS", "3")
-    assert cli_mod._default_jobs() == 3
-    monkeypatch.setenv("CIRCLEWALK_JOBS", "junk")
-    assert cli_mod._default_jobs() >= 1
+    assert sizes == [2]  # two primes, 7 and 11
 
 
 def test_output_file_roundtrip(tmp_path, capsys):
@@ -355,3 +384,54 @@ def test_floats_serialized_17_digits(capsys):
     # round-trip: the printed value parses back to the same float
     for r in rows:
         assert float(format(float(r[1]), ".17g")) == float(r[1])
+
+
+# every flag of every subcommand, with valid and invalid values at p <= 19
+FUZZ_VALUES = {
+    "--p": ["-7", "0", "3", "5", "7", "9", "11", "13", "19", "x"],
+    "--format": ["csv", "json", "xml"],
+    "--eps": ["0", "-0.5", "0.001", "0.1", "1", "1.5", "nan", "inf"],
+    "--seed": ["-1", "0", "42"],
+    "--trials": ["-1", "0", "1", "200"],
+    "--steps": ["-1", "0", "3"],
+    "--p-min": ["-5", "0", "3", "7", "19", "24"],
+    "--p-max": ["-5", "0", "3", "7", "19", "24"],
+    "--jobs": ["-1", "0", "1"],
+    "--force": [None],
+    "--output": ["-", "file", "missing"],
+}
+FUZZ_FLAGS = {
+    "constants": ["--p", "--format", "--output", "--force"],
+    "axioms": ["--p", "--format", "--output", "--force"],
+    "stationary": ["--p", "--format", "--output"],
+    "mix": ["--p", "--format", "--output", "--force", "--eps"],
+    "spectrum": ["--p", "--format", "--output"],
+    "bounds": ["--p", "--format", "--output", "--force", "--eps"],
+    "simulate": ["--p", "--format", "--output", "--seed", "--trials", "--steps"],
+    "scan": ["--p-min", "--p-max", "--output", "--eps", "--jobs"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_flags_never_exit_4(tmp_path_factory, data):
+    out_dir = tmp_path_factory.getbasetemp()
+    paths = {"-": "-", "file": str(out_dir / "fuzz.out"),
+             "missing": str(out_dir / "missing" / "fuzz.out")}
+    command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    # mostly the command's own flags, sometimes one it does not take
+    flags = [f for f in FUZZ_FLAGS[command] if data.draw(st.booleans())]
+    flags += data.draw(st.sampled_from([[]] * 3 + [[f] for f in FUZZ_VALUES]))
+    if command == "scan" and "--jobs" not in flags:
+        flags.append("--jobs")  # the default forks a worker pool per example
+    argv = [command]
+    for flag in flags:
+        value = data.draw(st.sampled_from(FUZZ_VALUES[flag]))
+        argv += [flag] if value is None else [flag, paths.get(value, value)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {0, 1, 2, 3}, (argv, stderr.getvalue())

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlewalk.circles import (
     StructureTensor,
@@ -27,6 +29,7 @@ from circlewalk.walk import (
     simulate,
     stationary,
     stationary_array,
+    stationary_numerators,
     tv_distance,
 )
 
@@ -99,6 +102,35 @@ def test_detailed_balance_examples(chain):
     assert 0 in res.witness  # violation involves the null-circle row
     delta0 = Distribution.point_mass(7, 0)
     assert not detailed_balance(k, delta0).ok
+
+
+def balance_witness_by_loop(kernel, dist):
+    """First (x, y), x < y in row-major order, with pi(x) K(x, y) !=
+    pi(y) K(y, x), compared as Fractions; None when balance holds."""
+    w = dist.weights
+    for x in range(kernel.p):
+        for y in range(x + 1, kernel.p):
+            if w[x] * kernel.exact(x, y) != w[y] * kernel.exact(y, x):
+                return (x, y)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([7, 11]), data=st.data())
+def test_detailed_balance_witness_matches_the_fraction_loop(chain, p, data):
+    _, tensor, _, _ = chain(p)
+    k = build_kernel(tensor, data.draw(st.integers(1, p - 1)))
+    # a multiple of the invariant law nudged by -1, 0 or 1 at a few
+    # circles; the scales put the fluxes in each exact_dtype tier, where
+    # they differ only in their last units
+    scale = data.draw(st.sampled_from([1, 3, 2**21 + 1, 2**50 + 1, 10**20 + 7]))
+    weights = [scale * n for n in stationary_numerators(p).tolist()]
+    for _ in range(data.draw(st.integers(0, 3))):
+        weights[data.draw(st.integers(0, p - 1))] += data.draw(st.integers(-1, 1))
+    dist = Distribution.exact_weights(Fraction(w, sum(weights)) for w in weights)
+    check = detailed_balance(k, dist)
+    assert check.witness == balance_witness_by_loop(k, dist)
+    assert check.ok == (check.witness is None)
 
 
 def test_detailed_balance_requires_exact(chain):
