@@ -352,7 +352,7 @@ def test_minorization_claim(chain):
 
 
 @pytest.mark.parametrize("p", [211, 499])
-def test_minorization_exact_past_the_old_float_gate(chain, p):
+def test_minorization_exact_at_large_p(chain, p):
     _, _, k, pi = chain(p)
     report = minorization_check(k, pi)
     # oracle: K^4 in int64 and one Fraction per column over (p+1)^4
