@@ -42,7 +42,6 @@ from .walk import (
     stationary_numerators,
 )
 
-PathAssignment = Mapping[tuple[int, int], Sequence[int]]
 CycleCollection = Mapping[int, Sequence[int]]
 
 
@@ -198,7 +197,7 @@ def comparison_bound(
     dist: Distribution,
     other_kernel: StochasticKernel,
     other_dist: Distribution,
-    paths: PathAssignment,
+    routes: np.ndarray,
 ) -> ComparisonBound:
     """Evaluate the path-congestion constant
 
@@ -208,65 +207,134 @@ def comparison_bound(
 
     where each off-diagonal support pair (x, y) of the auxiliary chain
     must carry a path along support edges of the base chain.
+
+    ``routes[x, y]`` is the node sequence of the path from x to y, padded
+    with -1 (see ``default_paths`` and ``route_array``). The first support
+    pair in row-major order whose path is missing, has the wrong
+    endpoints, steps off the support or repeats an edge is reported.
     """
     p = kernel.p
     if other_kernel.p != p or len(dist) != p or len(other_dist) != p:
         raise ValueError("chains must share one state space")
+    routes = np.asarray(routes)
+    if (routes.ndim != 3 or routes.shape[:2] != (p, p) or routes.shape[2] < 2
+            or not np.issubdtype(routes.dtype, np.integer)):
+        raise ValueError(f"routes must be an integer array of shape ({p}, {p}, L >= 2)")
     support = _support_pairs(kernel)
     pi = dist.to_array()
     other_pi = other_dist.to_array()
     other_k = other_kernel.matrix
 
-    congestion: dict[tuple[int, int], float] = {}
-    for x in range(p):
-        for y in range(p):
-            if x == y or other_k[x, y] == 0.0:
-                continue
-            path = paths.get((x, y))
-            if path is None:
-                raise MissingPath(f"no path for support pair ({x}, {y})")
-            edges = _walk_edges(path, x, y, support, InvalidPathEdge)
-            load = len(edges) * other_pi[x] * other_k[x, y]
-            for e in edges:
-                congestion[e] = congestion.get(e, 0.0) + load
+    # the auxiliary chain's off-diagonal support pairs, row-major
+    flat = np.flatnonzero((other_k != 0.0) & ~np.eye(p, dtype=bool))
+    xs, ys = np.divmod(flat, p)
+    walks = routes.reshape(p * p, -1)[flat].astype(np.int64, copy=False)
+    if ((walks < -1) | (walks >= p)).any():
+        raise ValueError(f"route entries must lie in [-1, {p})")
+    nodes = walks >= 0
+    steps = nodes[:, 1:]
+    if (steps & ~nodes[:, :-1]).any():
+        raise ValueError("route padding (-1) must come after every node")
+    edge = np.where(steps, walks[:, :-1] * p + walks[:, 1:], -1)
+    width = steps.shape[1]
+    # each step against every earlier one: a few column compares, cheaper
+    # than sorting every row (padding steps are masked out below)
+    repeated = np.zeros_like(steps)
+    for j in range(1, width):
+        for i in range(j):
+            repeated[:, j] |= edge[:, i] == edge[:, j]
+    ends = nodes.copy()
+    ends[:, :-1] &= ~steps
+    # bad[n, j] flags a fault found at node j of pair n's walk, so the
+    # first flag in row-major order belongs to the first bad pair
+    bad = ends & (walks != ys[:, None])
+    bad[:, 0] |= walks[:, 0] != xs
+    bad[:, 1] |= ~nodes[:, 1]
+    bad[:, 1:] |= steps & (~support.ravel()[edge] | repeated)
+    if bad.any():
+        n = int(bad.argmax()) // walks.shape[1]
+        x, y = int(xs[n]), int(ys[n])
+        if walks[n, 0] == -1:
+            raise MissingPath(f"no path for support pair ({x}, {y})")
+        _walk_edges(walks[n][nodes[n]].tolist(), x, y, support, InvalidPathEdge)
 
-    best = 0.0
-    for (z, w), total in congestion.items():
-        best = max(best, total / (pi[z] * kernel.matrix[z, w]))
+    # bin 0 takes the padding; the rest are fed pair-major, edge-minor, as
+    # a loop over the pairs adds them, and bincount adds in input order,
+    # so each edge's float sum is that loop's
+    load = steps.sum(axis=1) * other_pi[xs] * other_k[xs, ys]
+    congestion = np.bincount(
+        (edge + 1).ravel(), weights=np.where(steps, load[:, None], 0.0).ravel(),
+        minlength=p * p + 1)[1:]
+    # an edge no load reached adds nothing to a max that starts at 0
+    used = np.flatnonzero(congestion > 0)
+    z, w = np.divmod(used, p)
+    ratios = congestion[used] / (pi[z] * kernel.matrix[z, w])
+    best = float(ratios.max()) if used.size else 0.0
     a = float((other_pi / pi).min())
-    return ComparisonBound(A=float(best), a=a)
+    return ComparisonBound(A=best, a=a)
 
 
-def default_paths(kernel: StochasticKernel) -> dict[tuple[int, int], tuple[int, ...]]:
+def default_paths(kernel: StochasticKernel) -> np.ndarray:
     """Canonical paths from every circle to every other along walk edges.
 
-    The pair with smaller index first gets: the direct edge for (0, 1); a
-    three-edge route 0, 1, k, y otherwise when leaving 0; and a two-edge
-    route x, k, y between nonzero circles. Intermediates take the smallest
-    index that keeps both hops on support edges; the swapped pair reuses
-    the route reversed.
+    Returns ``routes``, an int64 array of shape (p, p, 4): ``routes[x, y]``
+    is the node sequence of the path from x to y padded with -1, and the
+    diagonal is all -1. Circle 0 has the single successor g (the
+    generator), so the pair with smaller index first gets: the direct edge
+    for (0, g); a three-edge route 0, g, k, y otherwise when leaving 0;
+    and a two-edge route x, k, y between nonzero circles. Intermediates
+    take the smallest index that keeps both hops on support edges. The
+    walk is reversible, so its support is symmetric, and then the smallest
+    intermediate of (y, x) is that of (x, y): the swapped pair's route is
+    the reverse.
     """
     support = _support_pairs(kernel)
     p = kernel.p
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    # mid[r, s]: smallest k with r -> k -> s on support edges, or -1;
+    # row r reads both[s, k] = support[r, k] & support[k, s]
+    into = np.ascontiguousarray(support.T)
+    states = np.arange(p)
+    mid = np.empty((p, p), dtype=np.int64)
     for r in range(p):
-        for s in range(r + 1, p):
-            if r == 0:
-                if s == 1:
-                    route = (0, 1)
-                else:
-                    mid = np.flatnonzero(support[1] & support[:, s])
-                    if mid.size == 0:
-                        raise PathConstructionFailed(f"no mid-state for (0, {s})")
-                    route = (0, 1, int(mid[0]), s)
-            else:
-                mid = np.flatnonzero(support[r] & support[:, s])
-                if mid.size == 0:
-                    raise PathConstructionFailed(f"no mid-state for ({r}, {s})")
-                route = (r, int(mid[0]), s)
-            paths[(r, s)] = route
-            paths[(s, r)] = tuple(reversed(route))
-    return paths
+        both = into & support[r]
+        k = both.argmax(axis=1)
+        mid[r] = np.where(both[states, k], k, -1)
+    succ = np.flatnonzero(support[0, 1:]) + 1
+    if succ.size == 0:
+        raise PathConstructionFailed("circle 0 has no successor")
+    g = int(succ[0])
+    # routes out of 0 and into 0 go through g
+    via = mid.copy()
+    via[0] = via[:, 0] = mid[g]
+    lost = via < 0
+    lost[states, states] = lost[0, g] = lost[g, 0] = False
+    if lost.any():
+        r, s = divmod(int(lost.argmax()), p)
+        raise PathConstructionFailed(f"no mid-state for ({r}, {s})")
+    routes = np.full((p, p, 4), -1, dtype=np.int64)
+    routes[..., 0] = states[:, None]
+    routes[..., 1] = via
+    routes[..., 2] = states
+    zero, gen = np.zeros_like(states), np.full_like(states, g)
+    routes[0] = np.column_stack([zero, gen, mid[g], states])
+    routes[:, 0] = np.column_stack([states, mid[g], gen, zero])
+    routes[0, g] = (0, g, -1, -1)
+    routes[g, 0] = (g, 0, -1, -1)
+    routes[states, states] = -1
+    return routes
+
+
+def route_array(paths: Mapping[tuple[int, int], Sequence[int]], p: int) -> np.ndarray:
+    """The ``routes`` array of a mapping from pairs (x, y) to node
+    sequences, as wide as the longest route; absent pairs (and empty
+    routes) read as missing."""
+    width = max([2, *map(len, paths.values())])
+    routes = np.full((p, p, width), -1, dtype=np.int64)
+    for (x, y), path in paths.items():
+        if not (0 <= x < p and 0 <= y < p and all(0 <= z < p for z in path)):
+            raise ValueError(f"path for {(x, y)} leaves the states [0, {p})")
+        routes[x, y, :len(path)] = path
+    return routes
 
 
 @dataclass(frozen=True)
@@ -324,9 +392,23 @@ def default_cycles(kernel: StochasticKernel) -> dict[int, tuple[int, ...]]:
     """
     support = _support_pairs(kernel)
     p = kernel.p
+    s = support.astype(np.float32)
+    # two-step walk counts are at most p < 2^24, so float32 BLAS is exact
+    two = (s @ s) > 0
+    # triangles x -> a -> b -> x: the first a, then the first b for that a
+    first = support & two.T
+    a = first.argmax(axis=1)
+    b = (support[a] & support.T).argmax(axis=1)
     cycles: dict[int, tuple[int, ...]] = {}
     for x in range(p):
-        cycles[x] = _shortest_odd_cycle(support, x, p)
+        if support[x, x]:
+            cycles[x] = (x, x)
+        elif first[x, a[x]]:
+            # without a loop at x, a != x and b != x, so the three edges
+            # (x, a), (a, b), (b, x) are distinct
+            cycles[x] = (x, int(a[x]), int(b[x]), x)
+        else:
+            cycles[x] = _five_edge_cycle(support, x)
     return cycles
 
 
@@ -335,15 +417,7 @@ def _distinct_edges(seq: Sequence[int]) -> bool:
     return len(edges) == len(set(edges))
 
 
-def _shortest_odd_cycle(support: np.ndarray, x: int, p: int) -> tuple[int, ...]:
-    if support[x, x]:
-        return (x, x)
-    # triangles x -> a -> b -> x, scanned in lexicographic (a, b) order
-    grid = support[x][:, None] & support & support[:, x][None, :]
-    for a, b in np.argwhere(grid):
-        cand = (x, int(a), int(b), x)
-        if _distinct_edges(cand):
-            return cand
+def _five_edge_cycle(support: np.ndarray, x: int) -> tuple[int, ...]:
     # five-edge walks x -> a -> b -> c -> d -> x; only states with neither
     # a loop nor a triangle reach this, so the nesting stays cheap
     for a in np.flatnonzero(support[x]):

@@ -139,11 +139,6 @@ class StructureTensor:
         return self._table
 
 
-def structure_constant(tensor: StructureTensor, i: int, j: int, k: int) -> Fraction:
-    """Closed-form n_ij^k."""
-    return tensor.constant(i, j, k)
-
-
 def pair_quadrance_counts(modulus: PrimeModulus, i: int, j: int) -> np.ndarray:
     """Histogram over k of quadrance(a + b) for all (a, b) in C_i x C_j.
 

@@ -297,6 +297,18 @@ def _count(minimum: int):
     return count
 
 
+def _epsilon(text: str) -> float:
+    """argparse type: a TV threshold in (0, 1). The total variation
+    against pi is always below 1, so 1 or more would be vacuous."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
 def _add_common(sub, *, p=True, force=False, eps=False):
     """Register the shared flags that the subcommand reads; ``p`` adds
     --p and --format, which only the one-prime subcommands take."""
@@ -309,8 +321,8 @@ def _add_common(sub, *, p=True, force=False, eps=False):
         sub.add_argument("--force", action="store_true",
                          help="override size gates")
     if eps:
-        sub.add_argument("--eps", type=float, default=walk_mod.DEFAULT_EPSILON,
-                         help="TV threshold, default 1/(2e)")
+        sub.add_argument("--eps", type=_epsilon, default=walk_mod.DEFAULT_EPSILON,
+                         help="TV threshold in (0, 1), default 1/(2e)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,9 +375,6 @@ def main(argv=None) -> int:
     except walk_mod.NotMixed as exc:
         print(f"not mixed: {exc}", file=sys.stderr)
         return EXIT_NOT_MIXED
-    except walk_mod.BadEpsilon as exc:
-        print(f"bad epsilon: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _OutputError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

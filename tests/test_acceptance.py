@@ -23,7 +23,6 @@ from circlewalk.bounds import (
 from circlewalk.circles import (
     circle_size,
     pair_quadrance_counts,
-    structure_constant,
     structure_constant_bruteforce,
     validate_axioms,
 )
@@ -85,7 +84,7 @@ def test_criterion_01_oracle_equivalence(chain):
     for i in range(7):
         for j in range(7):
             for k in range(7):
-                a = structure_constant(t, i, j, k)
+                a = t.constant(i, j, k)
                 b = structure_constant_bruteforce(m, i, j, k)
                 if a != b:
                     failures.append(f"scalar mismatch at (7,{i},{j},{k})")

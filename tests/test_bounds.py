@@ -22,6 +22,7 @@ from circlewalk.bounds import (
     equilibrium_kernel,
     minorization_check,
     odd_cycle_bound,
+    route_array,
     smallest_contraction_power,
     spectral_tv_bound,
     spectrum,
@@ -121,6 +122,12 @@ def eq2_bruteforce(kernel, pi, other, other_pi, paths):
     return best
 
 
+def route_mapping(routes):
+    p = routes.shape[0]
+    return {(x, y): tuple(int(v) for v in routes[x, y] if v >= 0)
+            for x in range(p) for y in range(p) if routes[x, y, 0] >= 0}
+
+
 def test_comparison_self_with_single_edge_paths(chain):
     _, _, k, pi = chain(7)
     paths = {
@@ -129,7 +136,7 @@ def test_comparison_self_with_single_edge_paths(chain):
         for y in range(7)
         if x != y and k.matrix[x, y] > 0
     }
-    comp = comparison_bound(k, pi, k, pi, paths)
+    comp = comparison_bound(k, pi, k, pi, route_array(paths, 7))
     assert comp.A == pytest.approx(1.0)
     assert comp.a == pytest.approx(1.0)
     assert comp.A == pytest.approx(eq2_bruteforce(k, pi, k, pi, paths))
@@ -138,49 +145,73 @@ def test_comparison_self_with_single_edge_paths(chain):
 def test_comparison_equilibrium_with_default_paths(chain):
     for p in [7, 11, 19]:
         m, _, k, pi = chain(p)
-        paths = default_paths(k)
-        comp = comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
+        routes = default_paths(k)
+        comp = comparison_bound(k, pi, equilibrium_kernel(m), pi, routes)
         assert comp.A > 1
         assert comp.a == pytest.approx(1.0)
         spectral = spectrum(k, pi)
         assert spectral.lambda1 <= comp.alpha_upper(0.0) + 1e-9
         if p == 7:
-            oracle = eq2_bruteforce(k, pi, equilibrium_kernel(m), pi, paths)
+            oracle = eq2_bruteforce(k, pi, equilibrium_kernel(m), pi,
+                                    route_mapping(routes))
             assert comp.A == pytest.approx(oracle)
 
 
 def test_comparison_missing_path(chain):
     m, _, k, pi = chain(7)
-    paths = default_paths(k)
-    del paths[(2, 5)]
-    with pytest.raises(MissingPath):
-        comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
+    routes = default_paths(k)
+    routes[2, 5] = -1
+    with pytest.raises(MissingPath,
+                       match=r"^no path for support pair \(2, 5\)$"):
+        comparison_bound(k, pi, equilibrium_kernel(m), pi, routes)
 
 
 def test_comparison_invalid_path_edge(chain):
     m, _, k, pi = chain(7)
-    paths = default_paths(k)
+    paths = route_mapping(default_paths(k))
     paths[(2, 5)] = (2, 5) if k.matrix[2, 5] == 0 else (2, 0, 5)
     with pytest.raises(InvalidPathEdge):
-        comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
-    mid = default_paths(k)[(2, 5)][1]
+        comparison_bound(k, pi, equilibrium_kernel(m), pi, route_array(paths, 7))
+    mid = default_paths(k)[2, 5, 1]
     paths[(2, 5)] = (mid, 5)
     with pytest.raises(InvalidPathEdge,
                        match=r"^path for \(2, 5\) must run from 2 to 5$"):
-        comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
+        comparison_bound(k, pi, equilibrium_kernel(m), pi, route_array(paths, 7))
     paths[(2, 5)] = (2, mid, 2, mid, 5)
     with pytest.raises(InvalidPathEdge,
                        match=rf"^path for \(2, 5\) repeats edge \(2, {mid}\)$"):
-        comparison_bound(k, pi, equilibrium_kernel(m), pi, paths)
+        comparison_bound(k, pi, equilibrium_kernel(m), pi, route_array(paths, 7))
+
+
+def test_comparison_rejects_malformed_routes(chain):
+    m, _, k, pi = chain(7)
+    eq = equilibrium_kernel(m)
+    routes = default_paths(k)
+    for bad in (routes[:, :, :1], routes[:6], routes.astype(np.float64)):
+        with pytest.raises(ValueError, match="^routes must be"):
+            comparison_bound(k, pi, eq, pi, bad)
+    gap = routes.copy()
+    gap[2, 5] = (2, -1, 5, -1)
+    with pytest.raises(ValueError, match=r"^route padding \(-1\) must come"):
+        comparison_bound(k, pi, eq, pi, gap)
+    for node in (-2, 7):
+        out = routes.copy()
+        out[2, 5, 1] = node
+        with pytest.raises(ValueError, match=r"^route entries must lie in"):
+            comparison_bound(k, pi, eq, pi, out)
 
 
 def test_default_paths_shapes(chain):
     m, _, k, pi = chain(7)
-    paths = default_paths(k)
-    assert paths[(0, 1)] == (0, 1)
-    assert len(paths[(0, 3)]) == 4 and paths[(0, 3)][:2] == (0, 1)
-    assert len(paths[(2, 5)]) == 3
-    assert paths[(5, 2)] == tuple(reversed(paths[(2, 5)]))
+    routes = default_paths(k)
+    assert routes.shape == (7, 7, 4)
+    assert routes[0, 1].tolist() == [0, 1, -1, -1]
+    assert routes[0, 3, :2].tolist() == [0, 1] and routes[0, 3, 3] == 3
+    assert routes[2, 5, 3] == -1
+    assert routes[5, 2, :3].tolist() == routes[2, 5, 2::-1].tolist()
+    assert (routes[np.arange(7), np.arange(7)] == -1).all()
+    paths = route_mapping(routes)
+    assert len(paths) == 7 * 6
     support = k.matrix > 0
     for (x, y), path in paths.items():
         assert path[0] == x and path[-1] == y
@@ -190,13 +221,28 @@ def test_default_paths_shapes(chain):
 
 def test_default_paths_use_smallest_intermediate(chain):
     m, _, k, _ = chain(11)
-    paths = default_paths(k)
+    routes = default_paths(k)
     support = k.matrix > 0
     for r in range(1, 11):
         for s in range(r + 1, 11):
-            mid = paths[(r, s)][1]
+            mid = routes[r, s, 1]
             for smaller in range(mid):
                 assert not (support[r, smaller] and support[smaller, s])
+
+
+def test_route_array_round_trip(chain):
+    _, _, k, _ = chain(11)
+    routes = default_paths(k)
+    assert np.array_equal(route_array(route_mapping(routes), 11), routes)
+    assert (routes[np.arange(11), np.arange(11)] == -1).all()
+    # as wide as the longest route; absent pairs are all padding
+    wide = route_array({(1, 2): (1, 0, 1, 0, 1, 2), (3, 4): (3, 4)}, 5)
+    assert wide.shape == (5, 5, 6)
+    assert wide[3, 4].tolist() == [3, 4, -1, -1, -1, -1]
+    assert (wide[2, 1] == -1).all()
+    for bad in ({(0, 5): (0, 5)}, {(-1, 2): (4, 2)}, {(1, 2): (1, -1, 2)}):
+        with pytest.raises(ValueError):
+            route_array(bad, 5)
 
 
 def test_cycle_length_by_chain_self_loop(chain):
@@ -310,6 +356,15 @@ def test_coupling_bound_is_tight_boundary():
         eps = Fraction(DEFAULT_EPSILON)
         assert cb.contraction**cb.n < eps
         assert cb.contraction ** (cb.n - 1) >= eps
+
+
+def test_contraction_power_when_eps_is_a_power_of_c():
+    # at p = 7, c = 1901/2048 is dyadic, so c^2 is a float exactly and the
+    # strict c^n < eps first holds at n = 3
+    c = Fraction(1901, 2048)
+    assert coupling_bound(make_modulus(7)).contraction == c
+    assert Fraction(float(c**2)) == c**2
+    assert smallest_contraction_power(7, float(c**2)) == 3
 
 
 def test_coupling_bound_bad_epsilon():

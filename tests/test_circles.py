@@ -7,9 +7,9 @@ from circlewalk.circles import (
     StructureTensor,
     circle_points,
     circle_size,
+    exact_dtype,
     pair_quadrance_counts,
     quadrance,
-    structure_constant,
     structure_constant_bruteforce,
     triple_support,
     validate_axioms,
@@ -53,11 +53,11 @@ def test_circle_sizes_partition_plane(p):
 
 def test_structure_constant_examples():
     t = StructureTensor(make_modulus(7))
-    assert structure_constant(t, 1, 1, 0) == Fraction(1, 8)
-    assert structure_constant(t, 1, 1, 2) == Fraction(1, 4)
-    assert structure_constant(t, 0, 5, 5) == Fraction(1)
-    assert structure_constant(t, 0, 5, 3) == Fraction(0)
-    assert structure_constant(t, 1, 2, 0) == Fraction(0)
+    assert t.constant(1, 1, 0) == Fraction(1, 8)
+    assert t.constant(1, 1, 2) == Fraction(1, 4)
+    assert t.constant(0, 5, 5) == Fraction(1)
+    assert t.constant(0, 5, 3) == Fraction(0)
+    assert t.constant(1, 2, 0) == Fraction(0)
 
 
 def test_bruteforce_examples():
@@ -74,7 +74,7 @@ def test_index_out_of_range():
     with pytest.raises(IndexError):
         circle_points(m, 7)
     with pytest.raises(IndexError):
-        structure_constant(t, 1, 1, -1)
+        t.constant(1, 1, -1)
     with pytest.raises(IndexError):
         structure_constant_bruteforce(m, 9, 0, 0)
 
@@ -218,3 +218,12 @@ def test_dense_table_matches_scalar_accessor():
         for j in range(p):
             for k in range(p):
                 assert int(table[i, j, k]) == t.scaled(i, j, k)
+
+
+@pytest.mark.parametrize("bound, dtype", [
+    (2**24 - 1, np.float32), (2**24, np.float64),
+    (2**53 - 1, np.float64), (2**53, np.int64),
+    (2**63 - 1, np.int64), (2**63, object),
+])
+def test_exact_dtype_tier_edges(bound, dtype):
+    assert exact_dtype(bound) is dtype

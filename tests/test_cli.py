@@ -207,9 +207,34 @@ def test_mix_formats_agree(capsys):
 
 
 def test_mix_eps_one(capsys):
-    code, out, _ = run(capsys, "mix", "--p", "7", "--eps", "1", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["tau"] == 0
+    # TV against pi is always below 1, so eps = 1 is vacuous and rejected
+    with pytest.raises(SystemExit) as exc:
+        main(["mix", "--p", "7", "--eps", "1", "--format", "json"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (1, "")
+    assert out.err.endswith(
+        "circlewalk mix: error: argument --eps: must be in (0, 1), got 1\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["bounds", "--p", "499"],
+    ["scan", "--p-min", "7", "--p-max", "499", "--jobs", "1"],
+])
+@pytest.mark.parametrize("eps", ["0", "1", "1.5", "-0.5", "nan", "inf", "x"])
+def test_eps_outside_the_open_unit_interval_is_a_usage_error(
+        capsys, monkeypatch, command, eps):
+    import circlewalk.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("bound_report ran before --eps was checked")
+
+    monkeypatch.setattr(cli_mod.bounds_mod, "bound_report", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--eps", eps])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith(f"usage: circlewalk {command[0]}")
+    assert err.endswith(f"argument --eps: must be in (0, 1), got {eps}\n")
 
 
 def test_mix_not_mixed_exit_3(capsys, monkeypatch):
@@ -435,3 +460,6 @@ def test_fuzzed_flags_never_exit_4(tmp_path_factory, data):
         except SystemExit as exc:
             code = exc.code
     assert code in {0, 1, 2, 3}, (argv, stderr.getvalue())
+    eps = [v for f, v in zip(argv, argv[1:]) if f == "--eps"]
+    if any(not 0 < float(v) < 1 for v in eps):
+        assert code == 1, (argv, stderr.getvalue())
