@@ -53,6 +53,10 @@ class MissingPath(ValueError):
     """A support pair of the auxiliary chain has no assigned path."""
 
 
+class MissingCycle(ValueError):
+    """A state of the chain has no assigned odd cycle."""
+
+
 class InvalidPathEdge(ValueError):
     """A path step leaves the kernel support or repeats an edge."""
 
@@ -372,6 +376,8 @@ def odd_cycle_bound(
 
     congestion: dict[tuple[int, int], float] = {}
     for x in range(p):
+        if x not in cycles:
+            raise MissingCycle(f"no cycle for state {x}")
         edges = _walk_edges(cycles[x], x, x, support, InvalidCycleEdge)
         if len(edges) % 2 == 0:
             raise EvenCycle(f"cycle for {x} has {len(edges)} edges")

@@ -16,6 +16,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import circles as circles_mod
 from . import walk as walk_mod
@@ -90,21 +92,46 @@ def _past_gate(args, p: int, gate: int, name: str) -> bool:
     return False
 
 
-def _constant_rows(tensor, i: int):
-    """Export rows (i, j, k, numerator, denominator) of the i-block: over
-    p + 1, or over 1 on the identity rows (a zero index)."""
+# each format prints an export row (i, j, k, numerator, denominator) as
+# head % (i, j) + tail % (k, numerator, denominator) and joins rows by sep;
+# the JSON row is laid out as json.dumps(..., indent=2) lays it out in "rows"
+_CSV_LAYOUT = ("%d,%d,", "%d,%d,%d\n", "")
+_JSON_LAYOUT = ("    [\n      %d,\n      %d,\n",
+                "      %d,\n      %d,\n      %d\n    ]", ",\n")
+
+
+def _block_rows(i: int, j0: int, num, den: int, layout) -> list[str]:
+    """Text of the export rows j0, j0 + 1, ... of the i-block, whose
+    numerators ``num`` (one row per j, one column per k) are over ``den``.
+
+    A block holds few distinct numerators, so each tail string is built
+    once per distinct value and per k, and one str.join writes a row.
+    """
+    head, tail, sep = layout
+    # every value gets its own tail, whatever its sign or size
+    values, inverse = np.unique(num, return_inverse=True)
+    k = np.arange(num.shape[1])
+    tails = np.array([[tail % (c, v, den) for c in k.tolist()]
+                      for v in values.tolist()], dtype=object)
+    gathered = tails[inverse.reshape(num.shape), k]
+    rows = []
+    for j, texts in enumerate(gathered.tolist(), j0):
+        h = head % (i, j)
+        rows.append(h + (sep + h).join(texts))
+    return rows
+
+
+def _block_text(tensor, i: int, layout) -> str:
+    """Text of the i-block's export rows: the identity rows (a zero index)
+    print the integer numerator // (p + 1) over 1, the others the
+    numerator over p + 1."""
     p = tensor.p
-    for j, row in enumerate(tensor.numerators(i).tolist()):
-        if i == 0 or j == 0:
-            for k, n in enumerate(row):
-                yield i, j, k, n // (p + 1), 1
-        else:
-            for k, n in enumerate(row):
-                yield i, j, k, n, p + 1
-
-
-# one exported row as json.dumps(..., indent=2) lays it out inside "rows"
-_JSON_ROW = "    [\n" + ",\n".join(["      %d"] * 5) + "\n    ]"
+    block = tensor.numerators(i)
+    ones = p if i == 0 else 1  # rows j < ones are identity rows
+    rows = _block_rows(i, 0, block[:ones] // (p + 1), 1, layout)
+    if ones < p:
+        rows += _block_rows(i, ones, block[ones:], p + 1, layout)
+    return layout[2].join(rows)
 
 
 def _constants_json_chunks(tensor):
@@ -113,7 +140,7 @@ def _constants_json_chunks(tensor):
     p = tensor.p
     yield f'{{\n  "p": {p},\n  "rows": [\n'
     for i in range(p):
-        text = ",\n".join(_JSON_ROW % row for row in _constant_rows(tensor, i))
+        text = _block_text(tensor, i, _JSON_LAYOUT)
         yield text if i == 0 else ",\n" + text
     yield "\n  ]\n}\n"
 
@@ -128,8 +155,8 @@ def cmd_constants(args) -> int:
         _emit(_constants_json_chunks(tensor), args.output)
     else:
         # one chunk per i-block keeps the text in memory at O(p^2)
-        header = ["i", "j", "k", "numerator", "denominator"]
-        _emit((_csv_text(header if i == 0 else None, _constant_rows(tensor, i))
+        header = "i,j,k,numerator,denominator\n"
+        _emit(((header if i == 0 else "") + _block_text(tensor, i, _CSV_LAYOUT)
                for i in range(p)), args.output)
     return EXIT_OK
 

@@ -9,6 +9,7 @@ from circlewalk.bounds import (
     EvenCycle,
     InvalidCycleEdge,
     InvalidPathEdge,
+    MissingCycle,
     MissingPath,
     NotReversible,
     bound_report,
@@ -296,6 +297,14 @@ def test_odd_cycle_bound_rejects_bad_edge(chain):
     assert k.matrix[2, 2] > 0
     cycles[2] = (2, 2, 3)
     with pytest.raises(InvalidCycleEdge, match="^cycle for 2 must start and end at 2$"):
+        odd_cycle_bound(k, pi, cycles)
+
+
+def test_odd_cycle_bound_missing_cycle(chain):
+    m, _, k, pi = chain(7)
+    cycles = dict(default_cycles(k))
+    del cycles[3]
+    with pytest.raises(MissingCycle, match="^no cycle for state 3$"):
         odd_cycle_bound(k, pi, cycles)
     cycles[2] = (2, 2, 2, 2)  # three edges, all the same loop
     with pytest.raises(InvalidCycleEdge, match=r"^cycle for 2 repeats edge \(2, 2\)$"):

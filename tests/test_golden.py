@@ -1,7 +1,8 @@
 """Pinned sha256 digests of the CLI's stdout.
 
-Every subcommand at p = 7 in both formats, a seeded ``simulate`` and a
-small serial ``scan``: any byte that changes in a table fails here. The
+Every subcommand at p = 7 in both formats, the tensor export at p = 103
+in both formats, a seeded ``simulate`` and a small serial ``scan``: any
+byte that changes in a table fails here. The
 floats come from numpy's ``eigh`` and matrix products, so a different
 BLAS may change the last digits of the spectrum and bounds rows.
 """
@@ -20,6 +21,11 @@ GOLDEN = {
         "d618d04a27a36ea2cad0c0f2440823f7f58f15c759bc448b6dd57f58821dd77c",
     ("constants", "--p", "7", "--format", "json"):
         "9bde898c6c7b189feec6f1bc1f32d833ee3ef4af689866f755c528be6de739aa",
+    # the benchmark's export workload, and its JSON form
+    ("constants", "--p", "103", "--format", "csv"):
+        "2db58e83d30155a63c77f2664fd197ee04901e31adbf73619c06d591f3028adb",
+    ("constants", "--p", "103", "--format", "json"):
+        "f4646ab5b345617485e2a3e36d970eef5c0ae13b091c718d8356f0befd71db7b",
     ("axioms", "--p", "7", "--format", "csv"):
         "e58ce398b01b5f552dcf3f4190e6b53503afe7918b26edf064498f4f46fb2760",
     ("axioms", "--p", "7", "--format", "json"):
