@@ -19,12 +19,17 @@ from .modular import PrimeModulus, Squareness, is_square, sqrt_mod
 
 # Dense coefficient tables hold p^3 small ints; keep them desk-scale.
 DENSE_TABLE_LIMIT = 512
-# The O(p^5) associativity check takes about half a minute at p = 199 on
-# one core; past this gate it needs --force.
+# Valid tables pass associativity by the O(p^4) generator-commutant
+# certificate; this gate bounds the exhaustive O(p^5) fallback that every
+# other table takes (about half a minute at p = 199 on one core). Past it
+# the axioms need --force.
 AXIOM_CHECK_GATE = 199
 
-# Rows of j contracted per matmul: keeps temporaries at O(p^2).
+# Rows of j (or blocks of i) contracted per matmul: keeps temporaries at O(p^2).
 _ASSOC_BLOCK = 16
+# The Krylov rank of c_1 is taken modulo this prime: below 2^26, so every
+# int64 sum of p <= DENSE_TABLE_LIMIT products of residues is below 2^63.
+_KRYLOV_PRIME = 2**26 - 5
 
 
 def _check_index(p: int, k: int) -> None:
@@ -183,9 +188,14 @@ def triple_support(
 
 @dataclass(frozen=True)
 class AxiomCheck:
+    """One axiom's outcome. ``method`` names the path that decided
+    associativity, ``"generator-commutant"`` or ``"exhaustive"``, and is
+    None for the other axioms."""
+
     name: str
     passed: bool
     witness: tuple[int, ...] | None = None
+    method: str | None = None
 
 
 @dataclass(frozen=True)
@@ -267,15 +277,80 @@ def associativity_witness(table: np.ndarray, dtype) -> tuple[int, ...] | None:
     return None
 
 
+def nonsingular_mod(matrix: np.ndarray, q: int) -> bool:
+    """Whether a square integer matrix is invertible over F_q, for a
+    prime q < 2^26.
+
+    Gaussian elimination in int64, reduced mod q after every product, so
+    no entry or product exceeds q^2 < 2^52.
+    """
+    m = np.asarray(matrix, dtype=np.int64) % q
+    for c in range(m.shape[0]):
+        nonzero = np.flatnonzero(m[c:, c])
+        if nonzero.size == 0:
+            return False
+        r = c + int(nonzero[0])
+        m[[c, r]] = m[[r, c]]
+        m[c, c:] = m[c, c:] * pow(int(m[c, c]), -1, q) % q
+        m[c + 1:, c:] = (m[c + 1:, c:] - m[c + 1:, c, None] * m[c, c:]) % q
+    return True
+
+
+def c1_generates(table: np.ndarray) -> bool:
+    """Whether the Krylov vectors e_0 N_1^t, t < p, have rank p, with
+    N_1 = table[1]: then multiplication by c_1 is non-derogatory.
+
+    The rank is taken modulo _KRYLOV_PRIME. Rank p there means a nonzero
+    determinant mod q, hence over the integers; a singular reduction mod q
+    only sends the caller to the exhaustive check.
+    """
+    p = table.shape[0]
+    q = _KRYLOV_PRIME
+    n1 = table[1].astype(np.int64) % q
+    krylov = np.empty((p, p), dtype=np.int64)
+    v = np.zeros(p, dtype=np.int64)
+    v[0] = 1
+    for t in range(p):
+        krylov[t] = v
+        v = v @ n1 % q  # p products below q^2: below 2^63 for p <= 512
+    return nonsingular_mod(krylov, q)
+
+
+def commutes_with_c1(table: np.ndarray, dtype) -> bool:
+    """Whether N_i N_1 == N_1 N_i for every i, with N_i = table[i].
+
+    Contracts _ASSOC_BLOCK slices of i at a time in ``dtype``. Every
+    partial sum is bounded by the ``contraction_dtype`` bound B, so its
+    dtype makes the comparison exact.
+    """
+    p = table.shape[0]
+    n1 = table[1].astype(dtype)
+    for i0 in range(0, p, _ASSOC_BLOCK):
+        block = table[i0:i0 + _ASSOC_BLOCK].astype(dtype)
+        if not np.array_equal(block @ n1, n1 @ block):
+            return False
+    return True
+
+
 def validate_axioms(tensor: StructureTensor) -> AxiomReport:
     """Check positivity, normalization, commutativity, hermitian support
     at index 0, and associativity, all exactly.
 
     Works on numerators over the common denominator p + 1, so every
-    comparison is between integers. Associativity compares
-    sum_t n_ij^t n_tk^m with sum_t n_jk^t n_it^m for all quadruples in
-    the dtype ``contraction_dtype`` proves exact: BLAS float32 for every
-    valid table up to DENSE_TABLE_LIMIT.
+    comparison is between integers. Associativity is first certified in
+    O(p^4) from three facts, with L_i the multiplication by c_i:
+
+    1. the table is commutative;
+    2. L_1 is non-derogatory (``c1_generates``): the Krylov vectors
+       e_0, L_1 e_0, ..., L_1^(p-1) e_0 have full rank;
+    3. every L_i commutes with L_1 (``commutes_with_c1``).
+
+    By 2 and 3 every L_i is a polynomial in L_1, so all L_i commute, and
+    with 1, (ab)c = c(ab) = a(cb) = a(bc). If any step fails, the
+    exhaustive ``associativity_witness`` compares sum_t n_ij^t n_tk^m
+    with sum_t n_jk^t n_it^m for all quadruples and names the first
+    witness. Both paths run in the dtype ``contraction_dtype`` proves
+    exact: float32 for every valid table up to DENSE_TABLE_LIMIT.
     """
     p = tensor.p
     e = tensor.scaled_table()
@@ -303,8 +378,16 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
         "hermitian_support", not herm_bad.any(), herm_witness
     )
 
-    assoc_witness = associativity_witness(e, contraction_dtype(e))
-    associativity = AxiomCheck("associativity", assoc_witness is None, assoc_witness)
+    dtype = contraction_dtype(e)
+    if commutativity.passed and c1_generates(e) and commutes_with_c1(e, dtype):
+        associativity = AxiomCheck(
+            "associativity", True, method="generator-commutant"
+        )
+    else:
+        witness = associativity_witness(e, dtype)
+        associativity = AxiomCheck(
+            "associativity", witness is None, witness, method="exhaustive"
+        )
 
     return AxiomReport(
         positivity, normalization, commutativity, hermitian_support, associativity

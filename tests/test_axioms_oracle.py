@@ -1,12 +1,15 @@
-"""The float32 associativity contraction against exact integer oracles.
+"""Both associativity paths of ``validate_axioms`` against exact oracles.
 
-``validate_axioms`` contracts in float32 whenever ``contraction_dtype``
+The exhaustive contraction runs in float32 whenever ``contraction_dtype``
 proves every partial sum below 2^24, and in float64, int64 or Python
 integers for larger tampered entries. Here tampered tables are checked in
 float32, in int64, and by a full einsum over all p^5 quadruples; all three
-must name the same first witness, or None.
+must name the same first witness, or None. The O(p^4) generator-commutant
+certificate may only pass tables the int64 contraction finds associative,
+and when it does not pass, the report is the exhaustive one.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -16,12 +19,15 @@ from hypothesis import strategies as st
 
 from circlewalk import circles
 from circlewalk.circles import (
+    _KRYLOV_PRIME,
     StructureTensor,
     associativity_witness,
+    c1_generates,
     contraction_dtype,
+    nonsingular_mod,
     validate_axioms,
 )
-from circlewalk.modular import make_modulus
+from circlewalk.modular import make_modulus, primes_3_mod_4
 
 PRIMES = [7, 11, 19]
 _TABLES = {p: StructureTensor(make_modulus(p)).scaled_table() for p in PRIMES}
@@ -48,6 +54,24 @@ def assert_paths_agree(table):
     return witness
 
 
+def certified_associativity(table):
+    """``validate_axioms(...).associativity`` for a table, tampered or not."""
+    tensor = StructureTensor(make_modulus(table.shape[0]))
+    tensor._table = table
+    return validate_axioms(tensor).associativity
+
+
+def assert_certificate_sound(table):
+    """The report matches the int64 contraction on either path; since the
+    certificate only ever passes, it never passes a table the oracle
+    rejects."""
+    check = certified_associativity(table)
+    witness = associativity_witness(table, np.int64)
+    assert (check.passed, check.witness) == (witness is None, witness)
+    assert check.method in ("generator-commutant", "exhaustive")
+    return check
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_valid_tables_are_associative_on_both_paths(p):
     table = _TABLES[p]
@@ -65,9 +89,10 @@ def test_overwritten_entry(p, data):
     table[i, j, k] = value
     assert contraction_dtype(table) is np.float32
     assert_paths_agree(table)
+    assert_certificate_sound(table)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from(PRIMES), data=st.data())
 def test_swapped_row_pair(p, data):
     a = data.draw(st.integers(1, p - 1))
@@ -78,6 +103,9 @@ def test_swapped_row_pair(p, data):
     table[a, b, :] = table[a, c, :]
     table[b, a, :] = table[c, a, :]
     assert_paths_agree(table)
+    check = assert_certificate_sound(table)
+    if b == c:  # the table is unchanged
+        assert check.method == "generator-commutant"
 
 
 def assert_tampered_entry_takes(value, dtype):
@@ -104,9 +132,86 @@ def test_large_entry_takes_the_int64_path():
 def test_int32_extremes_take_python_integers():
     p = 7
     table = _TABLES[p].copy()
-    table[2, 3, 4] = table[2, 3, 5] = np.iinfo(np.int32).min
+    # symmetric, so the certificate also contracts in Python integers
+    table[2, 3, 4:6] = table[3, 2, 4:6] = np.iinfo(np.int32).min
     # B = 2^32 * 2^31: int64 partial sums could wrap
     assert contraction_dtype(table) is object
     witness = associativity_witness(table, object)
     assert witness is not None
     assert witness == einsum_witness(table, object)
+    assert certified_associativity(table).witness == witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_symmetric_overwrite(p, data):
+    idx = st.integers(0, p - 1)
+    i, j, k = data.draw(idx), data.draw(idx), data.draw(idx)
+    table = _TABLES[p].copy()
+    # the current value keeps the table valid, so the certificate is drawn
+    # too; the large values put both paths in each contraction_dtype tier
+    # (no row holds two of them, so int64 stays exact for the oracle)
+    value = data.draw(st.sampled_from(
+        [int(table[i, j, k]), -1, 0, 1, 2, p + 1, 5000, 10**8, -(2**31)]
+    ))
+    table[i, j, k] = table[j, i, k] = value
+    assert_certificate_sound(table)
+
+
+@pytest.mark.parametrize("p", primes_3_mod_4(7, 199))
+def test_every_valid_table_is_certified(p):
+    check = validate_axioms(StructureTensor(make_modulus(p))).associativity
+    assert (check.passed, check.method) == (True, "generator-commutant")
+
+
+def test_failed_krylov_step_falls_back_to_the_same_report():
+    swapped = _TABLES[7].copy()
+    swapped[1, 2, :] = swapped[1, 3, :]
+    swapped[2, 1, :] = swapped[3, 1, :]
+    for table in (_TABLES[7], _TABLES[11], swapped):
+        certified = certified_associativity(table)
+        with mock.patch.object(circles, "c1_generates", lambda _: False):
+            fallback = certified_associativity(table)
+        assert fallback.method == "exhaustive"
+        assert dataclasses.replace(fallback, method=certified.method) == certified
+
+
+def test_non_commutative_tamper_takes_the_exhaustive_path():
+    table = _TABLES[7].copy()
+    table[1, 2, :] = table[1, 3, :]
+    tensor = StructureTensor(make_modulus(7))
+    tensor._table = table
+    with mock.patch.object(circles, "c1_generates") as krylov:
+        report = validate_axioms(tensor)
+    krylov.assert_not_called()
+    assert not report.commutativity.passed
+    assert report.associativity.method == "exhaustive"
+    assert report.associativity.witness == associativity_witness(table, np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_nonsingular_mod_matches_the_rational_rank(n, data):
+    cells = st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)
+    m = np.array(data.draw(cells), dtype=np.int64).reshape(n, n)
+    # |det| <= 5! * 3^5 < q, so m is singular mod q exactly when over Q
+    assert nonsingular_mod(m, _KRYLOV_PRIME) == (np.linalg.matrix_rank(m) == n)
+
+
+def test_krylov_rank_reduces_tampered_entries_mod_q():
+    q = _KRYLOV_PRIME
+    assert 512 * (q - 1) ** 2 < 2**63  # no int64 Krylov sum can wrap
+    shift = np.roll(np.eye(3, dtype=np.int32), 1, axis=1)
+    table = np.zeros((3, 3, 3), dtype=np.int32)
+    table[1] = shift  # e_0, e_1, e_2
+    assert c1_generates(table)
+    table[1] = -shift - q  # the same map up to sign mod q
+    assert c1_generates(table)
+    table[1] = -1  # e_0 N_1 and e_0 N_1^2 are parallel
+    assert not c1_generates(table)
+    # e_0 N_1^2 = (0, 0, 2); with |N_1| it would be (0, 2, 2), parallel to e_0 N_1
+    table[1] = [[0, 1, 1], [0, 1, 0], [0, -1, 2]]
+    assert c1_generates(table)
+    # rank 3 over Q but 0 mod q: a false "no" only costs the exhaustive check
+    table[1] = q * shift
+    assert not c1_generates(table)

@@ -19,6 +19,7 @@ from circlewalk.walk import (
     BadEpsilon,
     Distribution,
     LengthMismatch,
+    MixingReport,
     NotMixed,
     ZeroGenerator,
     boost_epsilon,
@@ -206,6 +207,40 @@ def test_mixing_report_invariants(chain):
     assert report.tv_curve[-1] <= report.epsilon
     if report.tau > 0:
         assert report.tv_curve[-2] > report.epsilon
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([7, 11, 19, 23]), data=st.data())
+def test_every_generator_kernel_is_stochastic_and_balanced(chain, p, data):
+    _, tensor, _, pi = chain(p)
+    k = build_kernel(tensor, data.draw(st.integers(1, p - 1)))
+    assert (k.scaled >= 0).all()
+    assert (k.scaled.sum(axis=1) == k.denominator).all()
+    assert detailed_balance(k, pi).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([7, 11, 19, 23]), data=st.data())
+def test_worst_tv_curve_never_increases(chain, p, data):
+    _, tensor, _, _ = chain(p)
+    k = build_kernel(tensor, data.draw(st.integers(1, p - 1)))
+    eps = data.draw(st.sampled_from([DEFAULT_EPSILON, 1e-3, 1e-6, 1e-9]))
+    curve = mixing_time(k, epsilon=eps).tv_curve
+    assert all(b <= a for a, b in zip(curve, curve[1:]))
+
+
+def test_mixing_report_threshold_is_inclusive():
+    curve, starts = (1.0, 0.5, 0.25), (0, 0, 0)
+    assert MixingReport(0.25, 2, curve, starts, 0).tau == 2
+    with pytest.raises(ValueError, match="already met before tau"):
+        MixingReport(0.5, 2, curve, starts, 0)
+
+
+def test_mixing_time_stops_where_tv_equals_epsilon(chain):
+    _, _, k, _ = chain(11)
+    curve = mixing_time(k, epsilon=1e-6).tv_curve
+    for t in range(1, len(curve)):
+        assert mixing_time(k, epsilon=curve[t]).tau == t
 
 
 def test_mixing_time_not_mixed(chain):
