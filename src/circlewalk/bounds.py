@@ -32,12 +32,13 @@ from .circles import StructureTensor, exact_dtype
 from .modular import PrimeModulus
 from .walk import (
     DEFAULT_EPSILON,
-    BadEpsilon,
     Distribution,
     StochasticKernel,
+    _contraction,
     build_kernel,
     detailed_balance,
     mixing_time,
+    smallest_contraction_power,
     stationary,
     stationary_numerators,
 )
@@ -87,8 +88,6 @@ class SpectrumReport:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    matrix: np.ndarray
     alpha_star: float
     gap: float
 
@@ -113,10 +112,8 @@ def spectrum(kernel: StochasticKernel, dist: Distribution) -> SpectrumReport:
         raise NotReversible(f"detailed balance fails at pair {check.witness}")
     k = kernel.matrix
     sym = np.sqrt(k * k.T)
-    evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
+    # eigh, not eigvalsh: their last bits differ, and scan output pins eigh's
+    evals = np.linalg.eigh(sym)[0][::-1]
     if abs(evals[0] - 1.0) > 1e-9:
         raise ValueError(f"top eigenvalue {evals[0]} is not 1")
     if evals[0] > 1 + 1e-9 or evals[-1] < -1 - 1e-9:
@@ -124,8 +121,6 @@ def spectrum(kernel: StochasticKernel, dist: Distribution) -> SpectrumReport:
     alpha_star = float(max(evals[1], abs(evals[-1]))) if len(evals) > 1 else 1.0
     return SpectrumReport(
         eigenvalues=evals,
-        eigenvectors=evecs,
-        matrix=sym,
         alpha_star=alpha_star,
         gap=float(1.0 - evals[1]) if len(evals) > 1 else 0.0,
     )
@@ -470,30 +465,6 @@ def spectral_tv_bound(
         raise ValueError("t must be nonnegative")
     pi_min = float(min(dist.weights))
     return 0.5 * pi_min**-0.5 * report.alpha_star**t
-
-
-def _contraction(p: int) -> Fraction:
-    num = (1 + p) ** 4 - p * p * (p - 1)
-    return Fraction(num, (1 + p) ** 4)
-
-
-def smallest_contraction_power(p: int, epsilon: float = DEFAULT_EPSILON) -> int:
-    """Smallest n with (1 - p^2 (p-1) / (1+p)^4)^n < epsilon.
-
-    A float logarithm supplies the candidate; the strict inequality is
-    then settled by exact rational powers so boundary rounding cannot
-    shift n.
-    """
-    if not 0 < epsilon < 1:
-        raise BadEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
-    c = _contraction(p)
-    eps = Fraction(epsilon)
-    n = max(1, math.ceil(math.log(epsilon) / math.log(float(c))))
-    while c**n >= eps:
-        n += 1
-    while n > 1 and c ** (n - 1) < eps:
-        n -= 1
-    return n
 
 
 @dataclass(frozen=True)

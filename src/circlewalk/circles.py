@@ -19,11 +19,6 @@ from .modular import PrimeModulus, Squareness, is_square, sqrt_mod
 
 # Dense coefficient tables hold p^3 small ints; keep them desk-scale.
 DENSE_TABLE_LIMIT = 512
-# Valid tables pass associativity by the O(p^4) generator-commutant
-# certificate; this gate bounds the exhaustive O(p^5) fallback that every
-# other table takes (about half a minute at p = 199 on one core). Past it
-# the axioms need --force.
-AXIOM_CHECK_GATE = 199
 
 # Rows of j (or blocks of i) contracted per matmul: keeps temporaries at O(p^2).
 _ASSOC_BLOCK = 16
@@ -227,6 +222,12 @@ def _first_witness(bad: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in where[0]) if where.size else None
 
 
+def _axiom(name: str, bad: np.ndarray) -> AxiomCheck:
+    """The check ``name``, passed unless the mask ``bad`` has a hit; the
+    witness is the first hit in row-major order."""
+    return AxiomCheck(name, not bad.any(), _first_witness(bad))
+
+
 def exact_dtype(bound: int) -> type:
     """Cheapest dtype holding every integer of magnitude up to ``bound``
     exactly: float32 below 2^24 and float64 below 2^53, where BLAS sums
@@ -296,17 +297,18 @@ def nonsingular_mod(matrix: np.ndarray, q: int) -> bool:
     return True
 
 
-def c1_generates(table: np.ndarray) -> bool:
+def c1_generates(block: np.ndarray) -> bool:
     """Whether the Krylov vectors e_0 N_1^t, t < p, have rank p, with
-    N_1 = table[1]: then multiplication by c_1 is non-derogatory.
+    N_1 = block, the (p, p) numerators of c_1 (``table[1]``): then
+    multiplication by c_1 is non-derogatory.
 
     The rank is taken modulo _KRYLOV_PRIME. Rank p there means a nonzero
     determinant mod q, hence over the integers; a singular reduction mod q
     only sends the caller to the exhaustive check.
     """
-    p = table.shape[0]
+    p = block.shape[0]
     q = _KRYLOV_PRIME
-    n1 = table[1].astype(np.int64) % q
+    n1 = block.astype(np.int64) % q
     krylov = np.empty((p, p), dtype=np.int64)
     v = np.zeros(p, dtype=np.int64)
     v[0] = 1
@@ -354,32 +356,18 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
     """
     p = tensor.p
     e = tensor.scaled_table()
-
-    pos_bad = e < 0
-    positivity = AxiomCheck("positivity", not pos_bad.any(), _first_witness(pos_bad))
-
-    norm_bad = e.sum(axis=2, dtype=np.int64) != p + 1
-    normalization = AxiomCheck(
-        "normalization", not norm_bad.any(), _first_witness(norm_bad)
+    positivity = _axiom("positivity", e < 0)
+    normalization = _axiom(
+        "normalization", e.sum(axis=2, dtype=np.int64) != p + 1
     )
-
-    comm_bad = e != e.transpose(1, 0, 2)
-    commutativity = AxiomCheck(
-        "commutativity", not comm_bad.any(), _first_witness(comm_bad)
-    )
-
-    nz = np.arange(1, p)
-    herm_bad = (e[1:, 1:, 0] > 0) != np.eye(p - 1, dtype=bool)
-    herm_witness = None
-    if herm_bad.any():
-        a, b = np.argwhere(herm_bad)[0]
-        herm_witness = (int(nz[a]), int(nz[b]))
-    hermitian_support = AxiomCheck(
-        "hermitian_support", not herm_bad.any(), herm_witness
-    )
+    commutativity = _axiom("commutativity", e != e.transpose(1, 0, 2))
+    # only the nonzero circles are checked: c_i c_j holds c_0 iff i == j
+    herm_bad = (e[:, :, 0] > 0) != np.eye(p, dtype=bool)
+    herm_bad[0] = herm_bad[:, 0] = False
+    hermitian_support = _axiom("hermitian_support", herm_bad)
 
     dtype = contraction_dtype(e)
-    if commutativity.passed and c1_generates(e) and commutes_with_c1(e, dtype):
+    if commutativity.passed and c1_generates(e[1]) and commutes_with_c1(e, dtype):
         associativity = AxiomCheck(
             "associativity", True, method="generator-commutant"
         )

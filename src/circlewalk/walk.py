@@ -268,8 +268,6 @@ class MixingReport:
 
 
 def _default_max_steps(p: int, epsilon: float) -> int:
-    from .bounds import smallest_contraction_power  # deferred: module cycle
-
     return 10 * 4 * smallest_contraction_power(p, epsilon)
 
 
@@ -343,6 +341,30 @@ def boost_epsilon(tau_base: int, epsilon: float) -> int:
     if epsilon >= DEFAULT_EPSILON:
         return tau_base
     return tau_base * math.ceil(math.log(1 / epsilon))
+
+
+def _contraction(p: int) -> Fraction:
+    num = (1 + p) ** 4 - p * p * (p - 1)
+    return Fraction(num, (1 + p) ** 4)
+
+
+def smallest_contraction_power(p: int, epsilon: float = DEFAULT_EPSILON) -> int:
+    """Smallest n with (1 - p^2 (p-1) / (1+p)^4)^n < epsilon.
+
+    A float logarithm supplies the candidate; the strict inequality is
+    then settled by exact rational powers so boundary rounding cannot
+    shift n.
+    """
+    if not 0 < epsilon < 1:
+        raise BadEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
+    c = _contraction(p)
+    eps = Fraction(epsilon)
+    n = max(1, math.ceil(math.log(epsilon) / math.log(float(c))))
+    while c**n >= eps:
+        n += 1
+    while n > 1 and c ** (n - 1) < eps:
+        n -= 1
+    return n
 
 
 @dataclass(frozen=True)

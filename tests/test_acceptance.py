@@ -246,10 +246,15 @@ def test_criterion_09_monte_carlo(chain):
     _finish(9, "Monte Carlo agrees with exact iteration", failures)
 
 
-def test_criterion_10_eigensolver_properties(spectra):
+def test_criterion_10_eigensolver_properties(chain, spectra):
     failures = []
     for p, spectral in spectra.items():
-        s, lam, u = spectral.matrix, spectral.eigenvalues, spectral.eigenvectors
+        k = chain(p)[2].matrix
+        s = np.sqrt(k * k.T)
+        lam, u = np.linalg.eigh(s)
+        lam, u = lam[::-1], u[:, ::-1]
+        if not np.array_equal(lam, spectral.eigenvalues):
+            failures.append(f"p={p}: spectrum differs from eigh of sqrt(K * K.T)")
         residual = np.abs(s @ u - u * lam[None, :]).max()
         if residual > 1e-8:
             failures.append(f"p={p}: eigenpair residual {residual:.2e}")

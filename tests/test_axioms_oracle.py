@@ -202,16 +202,17 @@ def test_krylov_rank_reduces_tampered_entries_mod_q():
     q = _KRYLOV_PRIME
     assert 512 * (q - 1) ** 2 < 2**63  # no int64 Krylov sum can wrap
     shift = np.roll(np.eye(3, dtype=np.int32), 1, axis=1)
-    table = np.zeros((3, 3, 3), dtype=np.int32)
-    table[1] = shift  # e_0, e_1, e_2
-    assert c1_generates(table)
-    table[1] = -shift - q  # the same map up to sign mod q
-    assert c1_generates(table)
-    table[1] = -1  # e_0 N_1 and e_0 N_1^2 are parallel
-    assert not c1_generates(table)
+    assert c1_generates(shift)  # e_0, e_1, e_2
+    assert c1_generates(-shift - q)  # the same map up to sign mod q
+    # e_0 N_1 and e_0 N_1^2 are parallel
+    assert not c1_generates(np.full((3, 3), -1, dtype=np.int32))
     # e_0 N_1^2 = (0, 0, 2); with |N_1| it would be (0, 2, 2), parallel to e_0 N_1
-    table[1] = [[0, 1, 1], [0, 1, 0], [0, -1, 2]]
-    assert c1_generates(table)
+    assert c1_generates(np.array([[0, 1, 1], [0, 1, 0], [0, -1, 2]]))
     # rank 3 over Q but 0 mod q: a false "no" only costs the exhaustive check
-    table[1] = q * shift
-    assert not c1_generates(table)
+    assert not c1_generates(q * shift)
+
+
+def test_c1_generates_at_the_dense_table_cap():
+    # 503 is the largest prime = 3 (mod 4) below DENSE_TABLE_LIMIT; the
+    # certificate needs only the c_1 block, not the p^3 table
+    assert c1_generates(StructureTensor(make_modulus(503)).numerators(1))

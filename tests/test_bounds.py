@@ -82,9 +82,12 @@ def test_dirichlet_form_matches_eigenvalues(chain):
     for p in [7, 11]:
         _, _, k, pi = chain(p)
         spectral = spectrum(k, pi)
+        lam, u = np.linalg.eigh(np.sqrt(k.matrix * k.matrix.T))
+        lam, u = lam[::-1], u[:, ::-1]
+        assert np.array_equal(lam, spectral.eigenvalues)
         sqrt_pi = np.sqrt(pi.to_array())
         for i in range(p):
-            g = spectral.eigenvectors[:, i] / sqrt_pi
+            g = u[:, i] / sqrt_pi
             norm = float((g * g * pi.to_array()).sum())
             assert norm == pytest.approx(1.0, abs=1e-10)
             energy = dirichlet_form(k, pi, g)

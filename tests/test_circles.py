@@ -192,6 +192,18 @@ def test_axioms_catch_corrupted_tensor():
     assert not report.normalization.passed
     assert report.normalization.witness == (1, 1)
     assert not report.hermitian_support.passed
+    assert report.hermitian_support.witness == (1, 1)
+
+
+def test_hermitian_support_reads_only_nonzero_circles():
+    t = StructureTensor(make_modulus(7))
+    table = t.scaled_table().copy()
+    # identity rows are out of scope; the first nonzero hit is (2, 5)
+    table[0, 3, 0] = table[4, 0, 0] = 1
+    table[3, 2, 0] = table[2, 5, 0] = 1
+    t._table = table
+    check = validate_axioms(t).hermitian_support
+    assert (check.passed, check.witness) == (False, (2, 5))
 
 
 def test_axioms_catch_non_associative_product():

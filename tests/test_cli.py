@@ -63,11 +63,6 @@ def test_constants_rows_match_bruteforce(capsys):
     (["axioms", "--p", "523"], "p=523 exceeds the dense-table limit 512"),
     (["mix", "--p", "503"],
      "p=503 exceeds the all-starts mixing gate 499; use --force"),
-    (["axioms", "--p", "211"],
-     "p=211 exceeds the axiom-check gate 199; use --force"),
-    # --force lifts the axiom-check gate, never the dense-table limit
-    (["axioms", "--p", "523", "--force"],
-     "p=523 exceeds the dense-table limit 512"),
 ])
 def test_size_gates_fire_before_any_work(capsys, monkeypatch, argv, message):
     import circlewalk.cli as cli_mod
@@ -96,7 +91,7 @@ def test_constants_json_streams_the_json_dumps_text(capsys, p):
     assert out == json.dumps({"p": p, "rows": rows}, indent=2) + "\n"
 
 
-def test_axioms_force_reaches_the_check(capsys, monkeypatch):
+def test_axioms_past_199_reaches_the_check(capsys, monkeypatch):
     import circlewalk.cli as cli_mod
 
     names = ["positivity", "normalization", "commutativity",
@@ -109,8 +104,7 @@ def test_axioms_force_reaches_the_check(capsys, monkeypatch):
         return canned
 
     monkeypatch.setattr(cli_mod.circles_mod, "validate_axioms", fake_validate)
-    code, out, _ = run(capsys, "axioms", "--p", "211", "--force",
-                       "--format", "json")
+    code, out, _ = run(capsys, "axioms", "--p", "211", "--format", "json")
     assert (code, seen) == (0, [211])
     assert json.loads(out) == {
         "p": 211,
@@ -136,6 +130,7 @@ def test_constants_not_prime_exit_2(capsys):
     ["simulate", "--p", "7", "--force"],
     ["scan", "--p-min", "7", "--p-max", "7", "--force"],
     ["scan", "--p-min", "7", "--p-max", "7", "--format", "json"],
+    ["axioms", "--p", "7", "--force"],
 ])
 def test_unread_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -427,7 +422,7 @@ FUZZ_VALUES = {
 }
 FUZZ_FLAGS = {
     "constants": ["--p", "--format", "--output", "--force"],
-    "axioms": ["--p", "--format", "--output", "--force"],
+    "axioms": ["--p", "--format", "--output"],
     "stationary": ["--p", "--format", "--output"],
     "mix": ["--p", "--format", "--output", "--force", "--eps"],
     "spectrum": ["--p", "--format", "--output"],
