@@ -42,7 +42,7 @@ def fmt(x) -> str:
         return str(x).lower()
     if isinstance(x, float):
         return format(x, ".17g")
-    return "" if x is None else str(x)
+    return str(x)
 
 
 class _OutputError(Exception):
@@ -62,12 +62,11 @@ def _emit(chunks, output: str | None) -> None:
         fh.writelines(chunks)
 
 
-def _csv_text(header: list[str] | None, rows) -> str:
-    """CSV text of the rows, after the header unless it is None."""
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text of the header, then the rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
+    writer.writerow(header)
     for row in rows:
         writer.writerow([fmt(v) for v in row])
     return buf.getvalue()
@@ -81,15 +80,6 @@ def _write(args, obj, header: list[str], rows) -> None:
         _emit([json.dumps(obj, indent=2) + "\n"], args.output)
     else:
         _emit([_csv_text(header, rows)], args.output)
-
-
-def _past_gate(args, p: int, gate: int, name: str) -> bool:
-    """Whether p exceeds a size gate that --force did not lift; if so,
-    the usage message is already printed."""
-    if p > gate and not args.force:
-        print(f"p={p} exceeds the {name} {gate}; use --force", file=sys.stderr)
-        return True
-    return False
 
 
 # each format prints an export row (i, j, k, numerator, denominator) as
@@ -148,7 +138,10 @@ def _constants_json_chunks(tensor):
 def cmd_constants(args) -> int:
     modulus = make_modulus(args.p)
     p = modulus.p
-    if _past_gate(args, p, circles_mod.DENSE_TABLE_LIMIT, "export gate"):
+    gate = circles_mod.DENSE_TABLE_LIMIT
+    if p > gate and not args.force:
+        print(f"p={p} exceeds the export gate {gate}; use --force",
+              file=sys.stderr)
         return EXIT_USAGE
     tensor = circles_mod.StructureTensor(modulus)
     if args.format == "json":
@@ -198,12 +191,8 @@ def cmd_stationary(args) -> int:
 
 def cmd_mix(args) -> int:
     modulus = make_modulus(args.p)
-    if _past_gate(args, modulus.p, walk_mod.MIXING_START_GATE,
-                  "all-starts mixing gate"):
-        return EXIT_USAGE
     kernel = walk_mod.build_kernel(circles_mod.StructureTensor(modulus))
-    # every circle is a start; past the gate only --force gets here
-    report = walk_mod.mixing_time(kernel, args.eps, starts=range(modulus.p))
+    report = walk_mod.mixing_time(kernel, args.eps)
     obj = {
         "p": modulus.p,
         "epsilon": report.epsilon,
@@ -234,9 +223,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    modulus = make_modulus(args.p)
-    measure = modulus.p <= walk_mod.MIXING_START_GATE or args.force
-    report = bounds_mod.bound_report(modulus, args.eps, measure_mixing=measure)
+    report = bounds_mod.bound_report(make_modulus(args.p), args.eps)
     obj = dataclasses.asdict(report)
     _write(args, obj, list(obj), [obj.values()])
     return EXIT_OK
@@ -268,10 +255,7 @@ SCAN_HEADER = [
 
 def _scan_row(task: tuple[int, float]) -> list:
     p, eps = task
-    modulus = make_modulus(p)
-    report = bounds_mod.bound_report(
-        modulus, eps, measure_mixing=p <= walk_mod.MIXING_START_GATE
-    )
+    report = bounds_mod.bound_report(make_modulus(p), eps)
     tau = report.tau_measured
     return [
         p,
@@ -279,8 +263,8 @@ def _scan_row(task: tuple[int, float]) -> list:
         report.coupling_tau,
         1.0 - report.lambda1,
         report.alpha_star,
-        None if tau is None else tau / p,
-        None if tau is None else tau / math.log(p),
+        tau / p,
+        tau / math.log(p),
     ]
 
 
@@ -304,9 +288,7 @@ def cmd_scan(args) -> int:
         rows = [_scan_row(t) for t in tasks]
     rows.sort(key=lambda r: r[0])
     _emit([_csv_text(SCAN_HEADER, rows)], args.output)
-    measured = [r[5] for r in rows if r[5] is not None]
-    if measured:
-        print(f"max tau_over_p = {fmt(max(measured))}", file=sys.stderr)
+    print(f"max tau_over_p = {fmt(max(r[5] for r in rows))}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -333,7 +315,7 @@ def _epsilon(text: str) -> float:
     return value
 
 
-def _add_common(sub, *, p=True, force=False, eps=False):
+def _add_common(sub, *, p=True, eps=False):
     """Register the shared flags that the subcommand reads; ``p`` adds
     --p and --format, which only the one-prime subcommands take."""
     if p:
@@ -341,9 +323,6 @@ def _add_common(sub, *, p=True, force=False, eps=False):
                          help="prime modulus, must be 3 (mod 4)")
         sub.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.add_argument("--output", default=None, help="file path, default stdout")
-    if force:
-        sub.add_argument("--force", action="store_true",
-                         help="override size gates")
     if eps:
         sub.add_argument("--eps", type=_epsilon, default=walk_mod.DEFAULT_EPSILON,
                          help="TV threshold in (0, 1), default 1/(2e)")
@@ -354,15 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Circle hypergroup walks over F_p")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("constants", help="export exact product tensor"),
-                force=True)
+    constants = sub.add_parser("constants", help="export exact product tensor")
+    _add_common(constants)
+    constants.add_argument("--force", action="store_true",
+                           help="export past the export gate")
     _add_common(sub.add_parser("axioms", help="check hypergroup axioms"))
     _add_common(sub.add_parser("stationary", help="exact invariant law"))
     _add_common(sub.add_parser("mix", help="measure worst-start mixing"),
-                force=True, eps=True)
+                eps=True)
     _add_common(sub.add_parser("spectrum", help="eigenvalues of the walk"))
     _add_common(sub.add_parser("bounds", help="all bounds for one prime"),
-                force=True, eps=True)
+                eps=True)
     simulate = sub.add_parser("simulate", help="seeded plane walks")
     _add_common(simulate)
     simulate.add_argument("--seed", type=_count(0), default=42)
@@ -372,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(scan, p=False, eps=True)
     scan.add_argument("--p-min", type=int, required=True)
     scan.add_argument("--p-max", type=int, required=True)
-    scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    scan.add_argument("--jobs", type=_count(1), default=os.cpu_count() or 1)
     return parser
 
 

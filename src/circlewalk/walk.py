@@ -21,10 +21,6 @@ from .modular import PrimeModulus
 
 DEFAULT_EPSILON = 1 / (2 * math.e)
 
-# Full-matrix mixing measurement is O(p^3) per step; above this, callers
-# must pass an explicit start list.
-MIXING_START_GATE = 499
-
 
 class ZeroGenerator(ValueError):
     """The walk generated by C_0 never moves."""
@@ -243,7 +239,7 @@ class MixingReport:
     """Worst-start mixing measurement: threshold, crossing time, TV curve.
 
     ``tv_curve[t]`` is the worst total variation to the invariant law over
-    the measured starts after t steps; ``curve_starts[t]`` is the circle
+    all starting circles after t steps; ``curve_starts[t]`` is the circle
     attaining it (smallest index on ties). ``worst_start`` is the circle
     that stayed above the threshold longest.
     """
@@ -275,33 +271,22 @@ def mixing_time(
     kernel: StochasticKernel,
     epsilon: float = DEFAULT_EPSILON,
     max_steps: int | None = None,
-    starts=None,
 ) -> MixingReport:
-    """First step at which every measured start is within ``epsilon`` of
-    the invariant law in total variation.
+    """First step at which every start is within ``epsilon`` of the
+    invariant law in total variation: the worst-case mixing time.
 
-    All starts are iterated simultaneously as rows of one matrix. With the
-    default start list (every circle) this is the worst-case mixing time.
+    Every circle is a start, and all are iterated simultaneously as rows
+    of one matrix.
     """
     if not 0 < epsilon <= 1:
         raise BadEpsilon(f"epsilon must be in (0, 1], got {epsilon}")
     p = kernel.p
-    if starts is None:
-        if p > MIXING_START_GATE:
-            raise ValueError(
-                f"p={p} exceeds the all-starts gate {MIXING_START_GATE}; "
-                "pass an explicit start list"
-            )
-        starts = range(p)
-    starts = list(starts)
     if max_steps is None:
         # budget for a tighter threshold is enough for a looser one
         max_steps = _default_max_steps(p, min(epsilon, DEFAULT_EPSILON))
 
     pi = stationary_array(p)
-    rows = np.zeros((len(starts), p))
-    for r, s in enumerate(starts):
-        rows[r, s] = 1.0
+    rows = np.eye(p)  # row s is the law of the walk started at circle s
 
     curve: list[float] = []
     curve_starts: list[int] = []
@@ -309,7 +294,7 @@ def mixing_time(
         tv = 0.5 * np.abs(rows - pi).sum(axis=1)
         arg = int(np.argmax(tv))
         curve.append(float(tv[arg]))
-        curve_starts.append(int(starts[arg]))
+        curve_starts.append(arg)
         if curve[-1] <= epsilon:
             worst = curve_starts[-2] if t > 0 else curve_starts[0]
             return MixingReport(

@@ -465,9 +465,3 @@ def test_bound_report_invariants(chain):
         "coupling_tau", "tau_measured",
     ]
     assert list(asdict(report)) == keys
-
-
-def test_bound_report_without_mixing(chain):
-    m, _, _, _ = chain(11)
-    report = bound_report(m, measure_mixing=False)
-    assert report.tau_measured is None

@@ -61,8 +61,6 @@ def test_constants_rows_match_bruteforce(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["constants", "--p", "523"], "p=523 exceeds the export gate 512; use --force"),
     (["axioms", "--p", "523"], "p=523 exceeds the dense-table limit 512"),
-    (["mix", "--p", "503"],
-     "p=503 exceeds the all-starts mixing gate 499; use --force"),
 ])
 def test_size_gates_fire_before_any_work(capsys, monkeypatch, argv, message):
     import circlewalk.cli as cli_mod
@@ -74,6 +72,39 @@ def test_size_gates_fire_before_any_work(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli_mod.circles_mod, "StructureTensor", no_work)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", message + "\n")
+
+
+def test_constants_force_passes_the_export_gate(capsys, monkeypatch):
+    import circlewalk.cli as cli_mod
+
+    seen = []
+
+    def stop(modulus):
+        seen.append(modulus.p)
+        raise RuntimeError("stop after the gate")
+
+    monkeypatch.setattr(cli_mod.circles_mod, "StructureTensor", stop)
+    code, out, err = run(capsys, "constants", "--p", "523", "--force")
+    assert (code, out, seen) == (4, "", [523])
+    assert err == "internal error: stop after the gate\n"
+
+
+@pytest.mark.parametrize("command, key", [("mix", "tau"),
+                                          ("bounds", "tau_measured")])
+def test_tau_is_measured_past_499(capsys, command, key):
+    code, out, _ = run(capsys, command, "--p", "503", "--format", "json")
+    obj = json.loads(out)
+    assert (code, obj["p"], obj[key]) == (0, 503, 3)
+
+
+def test_scan_measures_past_499(capsys):
+    code, out, err = run(capsys, "scan", "--p-min", "499", "--p-max", "523",
+                         "--jobs", "1")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [(r[0], r[1]) for r in rows] == [("499", "3"), ("503", "3"),
+                                            ("523", "3")]
+    assert err == f"max tau_over_p = {3 / 499:.17g}\n"
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -131,6 +162,8 @@ def test_constants_not_prime_exit_2(capsys):
     ["scan", "--p-min", "7", "--p-max", "7", "--force"],
     ["scan", "--p-min", "7", "--p-max", "7", "--format", "json"],
     ["axioms", "--p", "7", "--force"],
+    ["mix", "--p", "7", "--force"],
+    ["bounds", "--p", "7", "--force"],
 ])
 def test_unread_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -238,8 +271,8 @@ def test_mix_not_mixed_exit_3(capsys, monkeypatch):
 
     original = walk_mod.mixing_time
 
-    def tight_budget(kernel, epsilon, starts=None):
-        return original(kernel, epsilon, max_steps=0, starts=starts)
+    def tight_budget(kernel, epsilon):
+        return original(kernel, epsilon, max_steps=0)
 
     monkeypatch.setattr(cli_mod.walk_mod, "mixing_time", tight_budget)
     code, _, err = run(capsys, "mix", "--p", "7")
@@ -424,9 +457,9 @@ FUZZ_FLAGS = {
     "constants": ["--p", "--format", "--output", "--force"],
     "axioms": ["--p", "--format", "--output"],
     "stationary": ["--p", "--format", "--output"],
-    "mix": ["--p", "--format", "--output", "--force", "--eps"],
+    "mix": ["--p", "--format", "--output", "--eps"],
     "spectrum": ["--p", "--format", "--output"],
-    "bounds": ["--p", "--format", "--output", "--force", "--eps"],
+    "bounds": ["--p", "--format", "--output", "--eps"],
     "simulate": ["--p", "--format", "--output", "--seed", "--trials", "--steps"],
     "scan": ["--p-min", "--p-max", "--output", "--eps", "--jobs"],
 }
@@ -457,4 +490,7 @@ def test_fuzzed_flags_never_exit_4(tmp_path_factory, data):
     assert code in {0, 1, 2, 3}, (argv, stderr.getvalue())
     eps = [v for f, v in zip(argv, argv[1:]) if f == "--eps"]
     if any(not 0 < float(v) < 1 for v in eps):
+        assert code == 1, (argv, stderr.getvalue())
+    jobs = [v for f, v in zip(argv, argv[1:]) if f == "--jobs"]
+    if any(int(v) < 1 for v in jobs):
         assert code == 1, (argv, stderr.getvalue())

@@ -184,7 +184,7 @@ def test_mixing_time_eps_one(chain):
 
 def test_mixing_time_against_per_start_iteration(chain):
     # oracle: iterate each start separately with the single-vector op
-    for p in [7, 11]:
+    for p in [7, 11, 19]:
         _, _, k, pi = chain(p)
         pif = Distribution.float_weights(pi.to_array())
         per_start = []
@@ -197,6 +197,13 @@ def test_mixing_time_against_per_start_iteration(chain):
         report = mixing_time(k)
         assert report.tau == max(per_start)
         assert report.tau <= 4 * 23 if p == 7 else True
+        # each step's worst TV, and the start recorded as attaining it
+        for t, (worst_tv, start) in enumerate(
+                zip(report.tv_curve, report.curve_starts)):
+            tvs = [tv_distance(iterate(k, Distribution.point_mass(p, s), t),
+                               pif) for s in range(p)]
+            assert abs(worst_tv - max(tvs)) <= 1e-12, (p, t)
+            assert abs(tvs[start] - max(tvs)) <= 1e-12, (p, t, start)
 
 
 def test_mixing_report_invariants(chain):
