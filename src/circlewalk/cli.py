@@ -197,11 +197,9 @@ def cmd_mix(args) -> int:
         "p": modulus.p,
         "epsilon": report.epsilon,
         "tau": report.tau,
-        "worst_start": report.worst_start,
         "tv_curve": report.tv_curve,
     }
-    rows = zip(range(report.tau + 1), report.tv_curve, report.curve_starts)
-    _write(args, obj, ["t", "worst_tv", "worst_start"], rows)
+    _write(args, obj, ["t", "worst_tv"], enumerate(report.tv_curve))
     return EXIT_OK
 
 

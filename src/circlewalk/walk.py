@@ -3,8 +3,10 @@
 The kernel of the walk generated by C_m sends circle i to circle j with
 probability n_im^j. It is ergodic and reversible with respect to the
 measure that weights each circle by its point count, so iterating from any
-start converges to that measure; mixing is measured in total variation
-against the worst starting circle. A seeded plane simulator provides the
+start converges to that measure. Mixing is measured in total variation
+from the null circle 0: the walk is the quadrance image of a plane walk
+whose starts are all equally far from uniform, so circle 0 is the worst
+start (proof at ``mixing_time``). A seeded plane simulator provides the
 Monte Carlo counterpart.
 """
 
@@ -37,11 +39,9 @@ class LengthMismatch(ValueError):
 class NotMixed(RuntimeError):
     """Mixing threshold not reached within the step budget."""
 
-    def __init__(self, message: str, tv_curve: tuple[float, ...],
-                 curve_starts: tuple[int, ...]):
+    def __init__(self, message: str, tv_curve: tuple[float, ...]):
         super().__init__(message)
         self.tv_curve = tv_curve
-        self.curve_starts = curve_starts
 
 
 class Distribution:
@@ -238,17 +238,13 @@ def iterate(kernel: StochasticKernel, start: Distribution, t: int) -> Distributi
 class MixingReport:
     """Worst-start mixing measurement: threshold, crossing time, TV curve.
 
-    ``tv_curve[t]`` is the worst total variation to the invariant law over
-    all starting circles after t steps; ``curve_starts[t]`` is the circle
-    attaining it (smallest index on ties). ``worst_start`` is the circle
-    that stayed above the threshold longest.
+    ``tv_curve[t]`` is the total variation to the invariant law after t
+    steps from circle 0, the worst starting circle.
     """
 
     epsilon: float
     tau: int
     tv_curve: tuple[float, ...]
-    curve_starts: tuple[int, ...]
-    worst_start: int
 
     def __post_init__(self):
         curve = self.tv_curve
@@ -275,36 +271,40 @@ def mixing_time(
     """First step at which every start is within ``epsilon`` of the
     invariant law in total variation: the worst-case mixing time.
 
-    Every circle is a start, and all are iterated simultaneously as rows
-    of one matrix.
+    Only the row of circle 0 is iterated, since TV_k(t) <= TV_0(t) for
+    every circle k and step t. Proof: the C_m walk on circles is the
+    quadrance image of the plane walk X_{t+1} = X_t + U, U uniform on C_m.
+    From x the plane law is the law from the origin shifted by x, and the
+    uniform plane law is shift-invariant, so every start is the same TV
+    distance from it. Projecting to circles cannot increase TV. From the
+    origin both laws are constant on each circle (the rotations fixing
+    x^2 + y^2 fix C_m and act transitively on every circle), so there the
+    projection loses nothing. Kernels without a generator are refused,
+    since the proof needs the plane walk.
     """
+    if kernel.generator is None:
+        raise ValueError("mixing_time needs a walk kernel with a generator")
     if not 0 < epsilon <= 1:
         raise BadEpsilon(f"epsilon must be in (0, 1], got {epsilon}")
     p = kernel.p
     if max_steps is None:
         # budget for a tighter threshold is enough for a looser one
         max_steps = _default_max_steps(p, min(epsilon, DEFAULT_EPSILON))
+    elif max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
 
     pi = stationary_array(p)
-    rows = np.eye(p)  # row s is the law of the walk started at circle s
-
+    row = np.zeros(p)
+    row[0] = 1.0
     curve: list[float] = []
-    curve_starts: list[int] = []
     for t in range(max_steps + 1):
-        tv = 0.5 * np.abs(rows - pi).sum(axis=1)
-        arg = int(np.argmax(tv))
-        curve.append(float(tv[arg]))
-        curve_starts.append(arg)
+        curve.append(float(0.5 * np.abs(row - pi).sum()))
         if curve[-1] <= epsilon:
-            worst = curve_starts[-2] if t > 0 else curve_starts[0]
-            return MixingReport(
-                epsilon, t, tuple(curve), tuple(curve_starts), worst
-            )
-        rows = rows @ kernel.matrix
+            return MixingReport(epsilon, t, tuple(curve))
+        row = row @ kernel.matrix
     raise NotMixed(
         f"worst TV still {curve[-1]:.3e} > {epsilon} after {max_steps} steps",
         tuple(curve),
-        tuple(curve_starts),
     )
 
 

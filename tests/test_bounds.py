@@ -11,7 +11,9 @@ from circlewalk.bounds import (
     InvalidPathEdge,
     MissingCycle,
     MissingPath,
+    NoOddCycle,
     NotReversible,
+    _five_edge_cycle,
     bound_report,
     closed_form_bounds,
     comparison_bound,
@@ -271,6 +273,32 @@ def test_default_cycles_valid_and_short(chain):
                 assert support[z, w]
         if support[p - 1, p - 1]:
             assert cycles[p - 1] == (p - 1, p - 1)
+
+
+def test_five_edge_cycle_is_the_smallest_with_distinct_edges(chain):
+    # at p = 43 circle 0 has neither a loop nor a triangle, so
+    # default_cycles hands it to _five_edge_cycle
+    _, _, k, _ = chain(43)
+    s = k.scaled > 0
+    assert not s[0, 0] and not (s[0][:, None] & s & s[:, 0][None, :]).any()
+    # brute force: every closed walk 0, a, b, c, d, 0 in lexicographic order
+    walks = (s[0, :, None, None, None] & s[:, :, None, None]
+             & s[None, :, :, None] & s[None, None, :, :]
+             & s[None, None, None, :, 0])
+    smallest = next(
+        w for w in ((0, *map(int, abcd), 0) for abcd in np.argwhere(walks))
+        if len(set(zip(w, w[1:]))) == 5)
+    assert _five_edge_cycle(s, 0) == smallest == (0, 1, 2, 5, 1, 0)
+    assert default_cycles(k)[0] == smallest
+
+
+def test_five_edge_cycle_without_an_odd_cycle():
+    # a 4-cycle is bipartite: no closed walk through it has odd length
+    ring = np.roll(np.eye(4, dtype=bool), 1, axis=1)
+    with pytest.raises(
+            NoOddCycle,
+            match="^no odd closed walk of length <= 5 through state 2$"):
+        _five_edge_cycle(ring | ring.T, 2)
 
 
 def test_odd_cycle_bound_validates_spectrum(chain):

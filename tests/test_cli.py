@@ -218,7 +218,7 @@ def test_mix_curve_csv(capsys):
     code, out, _ = run(capsys, "mix", "--p", "7")
     assert code == 0
     header, rows = parse_csv(out)
-    assert header == ["t", "worst_tv", "worst_start"]
+    assert header == ["t", "worst_tv"]
     tvs = [float(r[1]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
     obj_tau = len(rows) - 1

@@ -35,9 +35,9 @@ GOLDEN = {
     ("stationary", "--p", "7", "--format", "json"):
         "8ecc1e0f036ca59b03648ef459c76c82b229c6c18428b1f16967c058ed4bda7d",
     ("mix", "--p", "7", "--format", "csv"):
-        "d897c5e138126dbbbbac51c324c84347837974ef39a4c83635ee024a15fcb55e",
+        "b102540cf8573ceb4c85b8d1b7491a1b49416ab156a6746e6fdee1dc924b4735",
     ("mix", "--p", "7", "--format", "json"):
-        "14ac4eb1006e1d1664e087baa55ac73c836c80501633a2abc30f0640e6f71613",
+        "1ba922a314cdf65110eeec9f97b904e09c213d51b46d1301b903d3d33a8a2cde",
     ("spectrum", "--p", "7", "--format", "csv"):
         "75e873f63a4abcf77a236f3aa4002c90533309046dcc3330da264d880968e2e6",
     ("spectrum", "--p", "7", "--format", "json"):

@@ -182,28 +182,64 @@ def test_mixing_time_eps_one(chain):
     assert len(report.tv_curve) == 1
 
 
-def test_mixing_time_against_per_start_iteration(chain):
-    # oracle: iterate each start separately with the single-vector op
-    for p in [7, 11, 19]:
-        _, _, k, pi = chain(p)
-        pif = Distribution.float_weights(pi.to_array())
-        per_start = []
-        for i in range(p):
-            mu = Distribution.point_mass(p, i)
-            t = 0
-            while tv_distance(iterate(k, mu, t), pif) > DEFAULT_EPSILON:
-                t += 1
-            per_start.append(t)
-        report = mixing_time(k)
-        assert report.tau == max(per_start)
-        assert report.tau <= 4 * 23 if p == 7 else True
-        # each step's worst TV, and the start recorded as attaining it
-        for t, (worst_tv, start) in enumerate(
-                zip(report.tv_curve, report.curve_starts)):
-            tvs = [tv_distance(iterate(k, Distribution.point_mass(p, s), t),
-                               pif) for s in range(p)]
-            assert abs(worst_tv - max(tvs)) <= 1e-12, (p, t)
-            assert abs(tvs[start] - max(tvs)) <= 1e-12, (p, t, start)
+def all_starts_tvs(kernel):
+    """Oracle: the all-starts iteration ``mixing_time`` used before it
+    iterated circle 0 alone. Every circle is a start, iterated together as
+    the rows of one matrix; entry [t][s] is the TV from start s after t
+    steps, up to the first step whose worst TV is at most 1/(2e), or to
+    step 100."""
+    pi = stationary_array(kernel.p)
+    rows = np.eye(kernel.p)
+    tvs = []
+    for _ in range(101):
+        tvs.append(0.5 * np.abs(rows - pi).sum(axis=1))
+        if tvs[-1].max() <= DEFAULT_EPSILON:
+            break
+        rows = rows @ kernel.matrix
+    return tvs
+
+
+def check_circle_0_is_the_worst_start(kernel):
+    report = mixing_time(kernel)
+    tvs = all_starts_tvs(kernel)
+    assert report.tau == len(tvs) - 1, kernel
+    for t, (tv0, tv) in enumerate(zip(report.tv_curve, tvs)):
+        assert abs(tv0 - tv.max()) <= 1e-12, (kernel, t)
+        assert (tv <= tv[0] + 1e-12).all(), (kernel, t)
+    with pytest.raises(NotMixed) as exc:
+        mixing_time(kernel, max_steps=report.tau - 1)
+    assert len(exc.value.tv_curve) == report.tau
+    assert np.allclose(exc.value.tv_curve, [tv.max() for tv in tvs[:-1]],
+                       rtol=0, atol=1e-12)
+
+
+def test_circle_0_is_the_worst_start_of_the_c1_walk():
+    # kernels are built here, not cached, so the sweep holds one at a time
+    for p in primes_3_mod_4(7, 499):
+        check_circle_0_is_the_worst_start(
+            build_kernel(StructureTensor(make_modulus(p))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([7, 11, 19, 23, 43]), data=st.data())
+def test_circle_0_is_the_worst_start_for_every_generator(chain, p, data):
+    _, tensor, _, _ = chain(p)
+    check_circle_0_is_the_worst_start(
+        build_kernel(tensor, data.draw(st.integers(1, p - 1))))
+
+
+def test_mixing_time_rejects_bad_input_before_iterating(monkeypatch):
+    from circlewalk.bounds import equilibrium_kernel
+
+    k = build_kernel(StructureTensor(make_modulus(7)))
+    eq = equilibrium_kernel(make_modulus(7))
+    monkeypatch.setattr(
+        "circlewalk.walk.stationary_array",
+        lambda p: pytest.fail("mixing_time iterated before checking input"))
+    with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+        mixing_time(k, max_steps=-1)
+    with pytest.raises(ValueError, match="needs a walk kernel"):
+        mixing_time(eq)
 
 
 def test_mixing_report_invariants(chain):
@@ -237,10 +273,10 @@ def test_worst_tv_curve_never_increases(chain, p, data):
 
 
 def test_mixing_report_threshold_is_inclusive():
-    curve, starts = (1.0, 0.5, 0.25), (0, 0, 0)
-    assert MixingReport(0.25, 2, curve, starts, 0).tau == 2
+    curve = (1.0, 0.5, 0.25)
+    assert MixingReport(0.25, 2, curve).tau == 2
     with pytest.raises(ValueError, match="already met before tau"):
-        MixingReport(0.5, 2, curve, starts, 0)
+        MixingReport(0.5, 2, curve)
 
 
 def test_mixing_time_stops_where_tv_equals_epsilon(chain):
