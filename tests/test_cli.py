@@ -15,8 +15,10 @@ from circlewalk.circles import (
     StructureTensor,
     structure_constant_bruteforce,
 )
-from circlewalk.cli import main
-from circlewalk.modular import make_modulus
+from circlewalk.bounds import bound_report
+from circlewalk.cli import _scan_row, main
+from circlewalk.modular import make_modulus, primes_3_mod_4
+from circlewalk.walk import DEFAULT_EPSILON
 
 
 def run(capsys, *argv):
@@ -254,9 +256,11 @@ def test_eps_outside_the_open_unit_interval_is_a_usage_error(
     import circlewalk.cli as cli_mod
 
     def no_work(*args, **kwargs):
-        raise AssertionError("bound_report ran before --eps was checked")
+        raise AssertionError("work ran before --eps was checked")
 
+    # bounds runs bound_report; scan at --jobs 1 runs _scan_row in-process
     monkeypatch.setattr(cli_mod.bounds_mod, "bound_report", no_work)
+    monkeypatch.setattr(cli_mod, "_scan_row", no_work)
     with pytest.raises(SystemExit) as exc:
         main(command + ["--eps", eps])
     err = capsys.readouterr().err
@@ -378,6 +382,33 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     code, _, err = run(capsys, "bounds", "--p", "7")
     assert code == 4
     assert "internal error" in err
+
+
+def test_scan_internal_error_exit_4(capsys, monkeypatch):
+    import circlewalk.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(cli_mod.bounds_mod, "spectrum", boom)
+    code, out, err = run(capsys, "scan", "--p-min", "7", "--p-max", "11",
+                         "--jobs", "1")
+    assert (code, out) == (4, "")
+    assert "internal error" in err
+
+
+@pytest.mark.parametrize("p, eps", [
+    *((p, DEFAULT_EPSILON) for p in primes_3_mod_4(7, 199)),
+    (499, DEFAULT_EPSILON),
+    (7, 0.05), (11, 0.05), (103, 0.05),
+])
+def test_scan_row_equals_the_bound_report_row(p, eps):
+    # the full bound_report is the oracle for scan's lean pipeline
+    report = bound_report(make_modulus(p), eps)
+    tau = report.tau_measured
+    expected = [p, tau, report.coupling_tau, 1.0 - report.lambda1,
+                report.alpha_star, tau / p, tau / math.log(p)]
+    assert _scan_row((p, eps)) == expected  # exact floats, no tolerance
 
 
 def test_scan_parallel_matches_serial(capsys):
