@@ -32,13 +32,12 @@ from .circles import StructureTensor, exact_dtype
 from .modular import PrimeModulus
 from .walk import (
     DEFAULT_EPSILON,
+    BadEpsilon,
     Distribution,
     StochasticKernel,
-    _contraction,
     build_kernel,
     detailed_balance,
     mixing_time,
-    smallest_contraction_power,
     stationary,
     stationary_numerators,
 )
@@ -467,6 +466,31 @@ def spectral_tv_bound(
     return 0.5 * pi_min**-0.5 * report.alpha_star**t
 
 
+def _minorization(p: int) -> Fraction:
+    """p^2 (p-1) / (p+1)^4: K^4 dominates this multiple of the invariant
+    law, and one minus it is the coupling's four-step contraction."""
+    return Fraction(p * p * (p - 1), (p + 1) ** 4)
+
+
+def smallest_contraction_power(p: int, epsilon: float = DEFAULT_EPSILON) -> int:
+    """Smallest n with (1 - p^2 (p-1) / (1+p)^4)^n < epsilon.
+
+    A float logarithm supplies the candidate; the strict inequality is
+    then settled by exact rational powers so boundary rounding cannot
+    shift n.
+    """
+    if not 0 < epsilon < 1:
+        raise BadEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
+    c = 1 - _minorization(p)
+    eps = Fraction(epsilon)
+    n = max(1, math.ceil(math.log(epsilon) / math.log(float(c))))
+    while c**n >= eps:
+        n += 1
+    while n > 1 and c ** (n - 1) < eps:
+        n -= 1
+    return n
+
+
 @dataclass(frozen=True)
 class CouplingBound:
     """Coupling mixing bound tau <= 4n, with the closed-form n for scale.
@@ -490,14 +514,14 @@ def coupling_bound(
     """Mixing-time bound from the four-step minorization: tau <= 4n."""
     p = modulus.p
     n = smallest_contraction_power(p, epsilon)
-    n8 = math.ceil((1 + math.log(2)) * (p + 1) ** 4 / (p * p * (p - 1)))
+    n8 = math.ceil((1 + math.log(2)) / _minorization(p))
     return CouplingBound(
         p=p,
         epsilon=epsilon,
         n=n,
         tau_bound=4 * n,
         closed_form_n=n8,
-        contraction=_contraction(p),
+        contraction=1 - _minorization(p),
     )
 
 
@@ -527,7 +551,7 @@ def minorization_check(
     9739 for the circle walk), then int64, then Python integers.
     """
     p = kernel.p
-    claimed = Fraction(p * p * (p - 1), (1 + p) ** 4)
+    claimed = _minorization(p)
     den4 = kernel.denominator**4
     s = kernel.scaled.astype(exact_dtype(den4))
     e2 = s @ s

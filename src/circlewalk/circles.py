@@ -5,7 +5,10 @@ origin. Translating a random point of C_i by a random point of C_j lands on
 C_k with probability n_ij^k; those coefficients make the p circles a
 finite hypergroup. Everything here is exact: coefficients are rationals
 with denominator p + 1 (identity rows aside), and the brute-force counter
-is kept fully independent of the closed form so each can check the other.
+is kept fully independent of the closed form so each can check the other:
+the closed form reads the modulus's square table, while the counter reads
+only p, finding each circle's points by field arithmetic (a square root
+by exponentiation, checked by squaring).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .modular import PrimeModulus, Squareness, is_square, sqrt_mod
+from .modular import PrimeModulus
 
 # Dense coefficient tables hold p^3 small ints; keep them desk-scale.
 DENSE_TABLE_LIMIT = 512
@@ -40,21 +43,19 @@ def quadrance(modulus: PrimeModulus, x: int, y: int) -> int:
 def circle_points(modulus: PrimeModulus, k: int) -> list[tuple[int, int]]:
     """All points of the circle with quadrance k, sorted lexicographically.
 
-    For each x the circle equation needs y^2 = k - x^2, so x contributes
-    two points, one point, or none according to the squareness of k - x^2.
+    For each x the circle needs y^2 = k - x^2. Since p = 3 (mod 4),
+    r = (k - x^2)^((p+1)/4) is a root exactly when r^2 = k - x^2, so
+    squaring r decides whether x contributes (x, r) and (x, -r), one
+    point when r = 0. The square table is not read.
     """
     p = modulus.p
     _check_index(p, k)
     pts = []
     for x in range(p):
         rest = (k - x * x) % p
-        cls = is_square(modulus, rest)
-        if cls is Squareness.ZERO:
-            pts.append((x, 0))
-        elif cls is Squareness.SQUARE:
-            r = sqrt_mod(modulus, rest)
-            pts.append((x, r))
-            pts.append((x, p - r))
+        r = pow(rest, (p + 1) // 4, p)
+        if r * r % p == rest:
+            pts += {(x, r), (x, -r % p)}
     pts.sort()
     return pts
 
@@ -160,8 +161,7 @@ def structure_constant_bruteforce(
     """n_ij^k by counting point pairs, the oracle for the closed form."""
     _check_index(modulus.p, k)
     counts = pair_quadrance_counts(modulus, i, j)
-    total = circle_size(modulus, i) * circle_size(modulus, j)
-    return Fraction(int(counts[k]), total)
+    return Fraction(int(counts[k]), int(counts.sum()))
 
 
 def triple_support(

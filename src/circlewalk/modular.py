@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 
@@ -13,16 +11,6 @@ class NotPrime(ValueError):
 
 class WrongResidueClass(ValueError):
     """Prime modulus is not congruent to 3 mod 4."""
-
-
-class NotASquare(ValueError):
-    """Square root requested for a quadratic non-residue."""
-
-
-class Squareness(Enum):
-    ZERO = "zero"
-    SQUARE = "square"
-    NONSQUARE = "nonsquare"
 
 
 def _is_prime(n: int) -> bool:
@@ -42,8 +30,9 @@ def _is_prime(n: int) -> bool:
 class PrimeModulus:
     """A validated prime p = 3 (mod 4) plus its table of nonzero squares.
 
-    ``residue_table[a]`` is True iff a is a nonzero square mod p; the table
-    makes square classification O(1). Instances are immutable.
+    ``residue_table[a]`` is True iff a is a nonzero square mod p. The
+    closed form of the structure constants reads it; the brute-force
+    oracle does not. Instances are immutable.
     """
 
     __slots__ = ("p", "residue_table", "_inv4")
@@ -76,37 +65,6 @@ class PrimeModulus:
 def make_modulus(n: int) -> PrimeModulus:
     """Validate n as a prime = 3 (mod 4) and precompute its square table."""
     return PrimeModulus(n)
-
-
-def is_square(modulus: PrimeModulus, a: int) -> Squareness:
-    """Classify a mod p as zero, a nonzero square, or a non-square."""
-    a %= modulus.p
-    if a == 0:
-        return Squareness.ZERO
-    return Squareness.SQUARE if modulus.residue_table[a] else Squareness.NONSQUARE
-
-
-def sqrt_mod(modulus: PrimeModulus, a: int) -> int:
-    """Canonical square root of a mod p: the smaller of the two roots.
-
-    Uses the exponent shortcut r = a^((p+1)/4) available when p = 3 (mod 4).
-    """
-    p = modulus.p
-    a %= p
-    if a == 0:
-        return 0
-    if not modulus.residue_table[a]:
-        raise NotASquare(f"{a} is not a square mod {p}")
-    s = pow(a, (p + 1) // 4, p)
-    return min(s, p - s)
-
-
-def inv_mod(modulus: PrimeModulus, a: int) -> int:
-    """Multiplicative inverse of a mod p."""
-    a %= modulus.p
-    if a == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {modulus.p}")
-    return pow(a, -1, modulus.p)
 
 
 def primes_3_mod_4(lo: int, hi: int) -> list[int]:

@@ -6,12 +6,16 @@ measure that weights each circle by its point count, so iterating from any
 start converges to that measure. Mixing is measured in total variation
 from the null circle 0: the walk is the quadrance image of a plane walk
 whose starts are all equally far from uniform, so circle 0 is the worst
-start (proof at ``mixing_time``). A seeded plane simulator provides the
-Monte Carlo counterpart.
+start (proof at ``mixing_time``). The TV to the invariant law never
+increases along a Markov chain, so the measurement stops, unmixed, at the
+first step that fails to lower it: below float64's TV floor (about 1e-15)
+no further step can help. A seeded plane simulator provides the Monte
+Carlo counterpart.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +41,8 @@ class LengthMismatch(ValueError):
 
 
 class NotMixed(RuntimeError):
-    """Mixing threshold not reached within the step budget."""
+    """Mixing threshold not reached: the TV stopped falling above it, or
+    ``max_steps`` ran out."""
 
     def __init__(self, message: str, tv_curve: tuple[float, ...]):
         super().__init__(message)
@@ -259,10 +264,6 @@ class MixingReport:
             raise ValueError("threshold already met before tau")
 
 
-def _default_max_steps(p: int, epsilon: float) -> int:
-    return 10 * 4 * smallest_contraction_power(p, epsilon)
-
-
 def mixing_time(
     kernel: StochasticKernel,
     epsilon: float = DEFAULT_EPSILON,
@@ -281,31 +282,38 @@ def mixing_time(
     x^2 + y^2 fix C_m and act transitively on every circle), so there the
     projection loses nothing. Kernels without a generator are refused,
     since the proof needs the plane walk.
+
+    The loop stops on what it measures. The TV to the invariant law never
+    increases along a Markov chain (Levin, Peres and Wilmer, *Markov
+    Chains and Mixing Times*, ch. 4), so a step that does not lower the
+    float TV means it has hit float64's floor; ``NotMixed`` is raised
+    there, and also after ``max_steps`` steps when a cap is given. Either
+    way it carries the curve measured so far.
     """
     if kernel.generator is None:
         raise ValueError("mixing_time needs a walk kernel with a generator")
     if not 0 < epsilon <= 1:
         raise BadEpsilon(f"epsilon must be in (0, 1], got {epsilon}")
-    p = kernel.p
-    if max_steps is None:
-        # budget for a tighter threshold is enough for a looser one
-        max_steps = _default_max_steps(p, min(epsilon, DEFAULT_EPSILON))
-    elif max_steps < 0:
+    if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
 
+    p = kernel.p
     pi = stationary_array(p)
     row = np.zeros(p)
     row[0] = 1.0
     curve: list[float] = []
-    for t in range(max_steps + 1):
+    for t in itertools.count():
         curve.append(float(0.5 * np.abs(row - pi).sum()))
         if curve[-1] <= epsilon:
             return MixingReport(epsilon, t, tuple(curve))
+        stalled = t > 0 and curve[-1] >= curve[-2]
+        if stalled or t == max_steps:
+            why = "stopped falling at" if stalled else "still"
+            raise NotMixed(
+                f"worst TV {why} {curve[-1]:.3e} > {epsilon} after {t} steps",
+                tuple(curve),
+            )
         row = row @ kernel.matrix
-    raise NotMixed(
-        f"worst TV still {curve[-1]:.3e} > {epsilon} after {max_steps} steps",
-        tuple(curve),
-    )
 
 
 def stationary_array(p: int) -> np.ndarray:
@@ -326,30 +334,6 @@ def boost_epsilon(tau_base: int, epsilon: float) -> int:
     if epsilon >= DEFAULT_EPSILON:
         return tau_base
     return tau_base * math.ceil(math.log(1 / epsilon))
-
-
-def _contraction(p: int) -> Fraction:
-    num = (1 + p) ** 4 - p * p * (p - 1)
-    return Fraction(num, (1 + p) ** 4)
-
-
-def smallest_contraction_power(p: int, epsilon: float = DEFAULT_EPSILON) -> int:
-    """Smallest n with (1 - p^2 (p-1) / (1+p)^4)^n < epsilon.
-
-    A float logarithm supplies the candidate; the strict inequality is
-    then settled by exact rational powers so boundary rounding cannot
-    shift n.
-    """
-    if not 0 < epsilon < 1:
-        raise BadEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
-    c = _contraction(p)
-    eps = Fraction(epsilon)
-    n = max(1, math.ceil(math.log(epsilon) / math.log(float(c))))
-    while c**n >= eps:
-        n += 1
-    while n > 1 and c ** (n - 1) < eps:
-        n -= 1
-    return n
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,31 @@ def test_circle_points_match_plane_scan(p):
         assert len(pts) == circle_size(m, k) == (1 if k == 0 else p + 1)
 
 
+def tampered_modulus(p):
+    """make_modulus(p) with the square 1 and the smallest non-square
+    swapped in its square table."""
+    m = make_modulus(p)
+    table = m.residue_table.copy()
+    b = int(np.flatnonzero(~table[1:])[0]) + 1
+    table[1], table[b] = False, True
+    m.residue_table = table
+    return m
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, 23])
+def test_oracle_ignores_a_tampered_square_table(p):
+    # the closed form reads the square table and the oracle must not, so
+    # a swap there moves the closed form and leaves the points on circles
+    m = tampered_modulus(p)
+    for k in range(p):
+        assert circle_points(m, k) == plane_circle(p, k)
+    t = StructureTensor(m)
+    assert any(
+        structure_constant_bruteforce(m, 1, j, k) != t.constant(1, j, k)
+        for j in range(p) for k in range(p)
+    )
+
+
 @pytest.mark.parametrize("p", [7, 11, 19, 23])
 def test_circle_sizes_partition_plane(p):
     m = make_modulus(p)

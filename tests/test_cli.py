@@ -284,6 +284,14 @@ def test_mix_not_mixed_exit_3(capsys, monkeypatch):
     assert "not mixed" in err
 
 
+def test_mix_below_the_tv_floor_exit_3(capsys):
+    # no float TV reaches 1e-300: mix stops when the TV stops falling
+    code, out, err = run(capsys, "mix", "--p", "103", "--eps", "1e-300")
+    assert code == 3
+    assert out == ""
+    assert "not mixed" in err
+
+
 def test_axioms_csv(capsys):
     code, out, _ = run(capsys, "axioms", "--p", "7")
     assert code == 0

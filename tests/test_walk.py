@@ -13,6 +13,7 @@ from circlewalk.circles import (
     pair_quadrance_counts,
     quadrance,
 )
+from circlewalk.bounds import smallest_contraction_power
 from circlewalk.modular import make_modulus, primes_3_mod_4
 from circlewalk.walk import (
     DEFAULT_EPSILON,
@@ -291,6 +292,63 @@ def test_mixing_time_not_mixed(chain):
     with pytest.raises(NotMixed) as exc:
         mixing_time(k, epsilon=1e-9, max_steps=2)
     assert len(exc.value.tv_curve) == 3
+
+
+def capped_mixing(kernel, epsilon):
+    """Oracle: the loop ``mixing_time`` ran before it stopped on a TV that
+    fails to fall. It iterates circle 0's row up to a cap of 40 times the
+    coupling power at min(epsilon, 1/(2e)) and returns tau and the TV
+    curve, or None if the cap runs out."""
+    p = kernel.p
+    cap = 40 * smallest_contraction_power(p, min(epsilon, DEFAULT_EPSILON))
+    pi = stationary_array(p)
+    row = np.zeros(p)
+    row[0] = 1.0
+    curve = []
+    for t in range(cap + 1):
+        curve.append(float(0.5 * np.abs(row - pi).sum()))
+        if curve[-1] <= epsilon:
+            return t, tuple(curve)
+        row = row @ kernel.matrix
+    return None
+
+
+ORACLE_EPSILONS = [DEFAULT_EPSILON, 0.05, 1e-3, 1e-6, 1e-9, 1e-12]
+
+
+def check_against_capped_loop(kernel, epsilon):
+    report = mixing_time(kernel, epsilon)
+    assert (report.tau, report.tv_curve) == capped_mixing(kernel, epsilon), (
+        kernel, epsilon)
+
+
+def test_mixing_time_matches_the_capped_loop_for_c1():
+    for p in primes_3_mod_4(7, 499):
+        kernel = build_kernel(StructureTensor(make_modulus(p)))
+        for eps in (DEFAULT_EPSILON, 1e-12):
+            check_against_capped_loop(kernel, eps)
+
+
+@pytest.mark.parametrize("p", [7, 11, 19, 23])
+def test_mixing_time_matches_the_capped_loop_for_every_generator(p, chain):
+    _, tensor, _, _ = chain(p)
+    for g in range(1, p):
+        kernel = build_kernel(tensor, g)
+        for eps in ORACLE_EPSILONS:
+            check_against_capped_loop(kernel, eps)
+
+
+def test_mixing_time_stops_when_the_tv_stops_falling(chain):
+    # 1e-300 is below float64's TV floor: the loop stops at the first
+    # step that fails to lower the TV, far short of any coupling budget
+    _, _, k, _ = chain(11)
+    with pytest.raises(NotMixed, match="stopped falling") as exc:
+        mixing_time(k, epsilon=1e-300)
+    curve = exc.value.tv_curve
+    assert len(curve) < 100
+    assert curve[-1] >= curve[-2]
+    assert all(b < a for a, b in zip(curve[:-1], curve[1:-1]))
+    assert f"after {len(curve) - 1} steps" in str(exc.value)
 
 
 def test_mixing_time_bad_epsilon(chain):
