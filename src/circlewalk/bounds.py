@@ -15,8 +15,11 @@ speed of convergence:
   law gives a geometric coupling bound on the mixing time
   (``coupling_bound``, ``minorization_check``).
 
-Closed-form versions of the congestion and cycle constants are kept as
-reference lines next to the computed ones.
+Every bound reads the invariant law from the kernel's state count p: the
+numerators ``stationary_numerators(p)`` over p^2, exact where a check is
+exact and ``stationary_array(p)`` in float64. Closed-form versions of the
+congestion and cycle constants are kept as reference lines next to the
+computed ones.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from .modular import PrimeModulus
 from .walk import (
     DEFAULT_EPSILON,
     BadEpsilon,
-    Distribution,
     StochasticKernel,
     build_kernel,
     detailed_balance,
     mixing_time,
-    stationary,
+    stationary_array,
     stationary_numerators,
 )
 
@@ -46,7 +48,7 @@ CycleCollection = Mapping[int, Sequence[int]]
 
 
 class NotReversible(ValueError):
-    """Kernel fails detailed balance for the supplied distribution."""
+    """Kernel fails detailed balance for the invariant law."""
 
 
 class MissingPath(ValueError):
@@ -99,14 +101,14 @@ class SpectrumReport:
         return float(self.eigenvalues[-1])
 
 
-def spectrum(kernel: StochasticKernel, dist: Distribution) -> SpectrumReport:
+def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     """All eigenvalues of the kernel, via its symmetrization.
 
     Detailed balance makes sqrt(pi(x)/pi(y)) K(x, y) symmetric; it is
     computed here as sqrt(K(x,y) K(y,x)), which is symmetric in float64 by
     construction and equal to the conjugated kernel under reversibility.
     """
-    check = detailed_balance(kernel, dist)
+    check = detailed_balance(kernel, stationary_numerators(kernel.p))
     if not check.ok:
         raise NotReversible(f"detailed balance fails at pair {check.witness}")
     k = kernel.matrix
@@ -125,15 +127,13 @@ def spectrum(kernel: StochasticKernel, dist: Distribution) -> SpectrumReport:
     )
 
 
-def dirichlet_form(
-    kernel: StochasticKernel, dist: Distribution, f: np.ndarray
-) -> float:
+def dirichlet_form(kernel: StochasticKernel, f: np.ndarray) -> float:
     """Energy of f under the kernel: half the pi-and-K weighted sum of
     squared differences over all ordered pairs."""
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (kernel.p,):
         raise ValueError(f"f must have shape ({kernel.p},)")
-    pi = dist.to_array()
+    pi = stationary_array(kernel.p)
     diff = f[:, None] - f[None, :]
     return float(0.5 * (diff**2 * (pi[:, None] * kernel.matrix)).sum())
 
@@ -177,34 +177,31 @@ def _walk_name(start: int, end: int) -> str:
 
 @dataclass(frozen=True)
 class ComparisonBound:
-    """Congestion constant A and mass ratio a of a two-chain comparison.
+    """Congestion constant A of a two-chain comparison.
 
-    For eigenvalues it yields alpha_i <= 1 - (a/A)(1 - alpha'_i), where
-    the primed values belong to the auxiliary chain.
+    Both chains share the invariant law, so for eigenvalues it yields
+    alpha_i <= 1 - (1 - alpha'_i) / A, where the primed values belong to
+    the auxiliary chain.
     """
 
     A: float
-    a: float
 
     def alpha_upper(self, alpha_prime: float = 0.0) -> float:
-        return 1.0 - (self.a / self.A) * (1.0 - alpha_prime)
+        return 1.0 - (1.0 - alpha_prime) / self.A
 
 
 def comparison_bound(
-    kernel: StochasticKernel,
-    dist: Distribution,
-    other_kernel: StochasticKernel,
-    other_dist: Distribution,
-    routes: np.ndarray,
+    kernel: StochasticKernel, other_kernel: StochasticKernel, routes: np.ndarray
 ) -> ComparisonBound:
     """Evaluate the path-congestion constant
 
         A = max over edges (z, w) of
             sum over assigned paths through (z, w) of
-                |path| pi'(x) K'(x, y),  divided by pi(z) K(z, w),
+                |path| pi(x) K'(x, y),  divided by pi(z) K(z, w),
 
-    where each off-diagonal support pair (x, y) of the auxiliary chain
-    must carry a path along support edges of the base chain.
+    where pi is the invariant law of both chains and each off-diagonal
+    support pair (x, y) of the auxiliary chain must carry a path along
+    support edges of the base chain.
 
     ``routes[x, y]`` is the node sequence of the path from x to y, padded
     with -1 (see ``default_paths`` and ``route_array``). The first support
@@ -212,15 +209,14 @@ def comparison_bound(
     endpoints, steps off the support or repeats an edge is reported.
     """
     p = kernel.p
-    if other_kernel.p != p or len(dist) != p or len(other_dist) != p:
+    if other_kernel.p != p:
         raise ValueError("chains must share one state space")
     routes = np.asarray(routes)
     if (routes.ndim != 3 or routes.shape[:2] != (p, p) or routes.shape[2] < 2
             or not np.issubdtype(routes.dtype, np.integer)):
         raise ValueError(f"routes must be an integer array of shape ({p}, {p}, L >= 2)")
     support = _support_pairs(kernel)
-    pi = dist.to_array()
-    other_pi = other_dist.to_array()
+    pi = stationary_array(p)
     other_k = other_kernel.matrix
 
     # the auxiliary chain's off-diagonal support pairs, row-major
@@ -259,7 +255,7 @@ def comparison_bound(
     # bin 0 takes the padding; the rest are fed pair-major, edge-minor, as
     # a loop over the pairs adds them, and bincount adds in input order,
     # so each edge's float sum is that loop's
-    load = steps.sum(axis=1) * other_pi[xs] * other_k[xs, ys]
+    load = steps.sum(axis=1) * pi[xs] * other_k[xs, ys]
     congestion = np.bincount(
         (edge + 1).ravel(), weights=np.where(steps, load[:, None], 0.0).ravel(),
         minlength=p * p + 1)[1:]
@@ -267,9 +263,7 @@ def comparison_bound(
     used = np.flatnonzero(congestion > 0)
     z, w = np.divmod(used, p)
     ratios = congestion[used] / (pi[z] * kernel.matrix[z, w])
-    best = float(ratios.max()) if used.size else 0.0
-    a = float((other_pi / pi).min())
-    return ComparisonBound(A=best, a=a)
+    return ComparisonBound(A=float(ratios.max()) if used.size else 0.0)
 
 
 def default_paths(kernel: StochasticKernel) -> np.ndarray:
@@ -343,20 +337,17 @@ class OddCycleBound:
     alpha_min_lower: float
 
 
-def cycle_length_by_chain(
-    kernel: StochasticKernel, dist: Distribution, cycle: Sequence[int]
-) -> float:
+def cycle_length_by_chain(kernel: StochasticKernel, cycle: Sequence[int]) -> float:
     """Sum of 1 / (pi(z) K(z, w)) over the traversed edges of a cycle."""
-    return _chain_length(kernel.matrix, dist.to_array(), zip(cycle, cycle[1:]))
+    return _chain_length(kernel.matrix, stationary_array(kernel.p),
+                         zip(cycle, cycle[1:]))
 
 
 def _chain_length(k: np.ndarray, pi: np.ndarray, edges) -> float:
     return float(sum(1.0 / (pi[z] * k[z, w]) for z, w in edges))
 
 
-def odd_cycle_bound(
-    kernel: StochasticKernel, dist: Distribution, cycles: CycleCollection
-) -> OddCycleBound:
+def odd_cycle_bound(kernel: StochasticKernel, cycles: CycleCollection) -> OddCycleBound:
     """Evaluate v = max over edges of the summed pi(x)-weighted chain
     lengths of the cycles traversing that edge, and the induced lower
     bound on the smallest eigenvalue.
@@ -366,7 +357,7 @@ def odd_cycle_bound(
     """
     p = kernel.p
     support = _support_pairs(kernel)
-    pi = dist.to_array()
+    pi = stationary_array(p)
 
     congestion: dict[tuple[int, int], float] = {}
     for x in range(p):
@@ -455,14 +446,13 @@ def closed_form_bounds(modulus: PrimeModulus) -> ClosedFormBounds:
     )
 
 
-def spectral_tv_bound(
-    report: SpectrumReport, dist: Distribution, t: int
-) -> float:
+def spectral_tv_bound(report: SpectrumReport, t: int) -> float:
     """Per-step envelope: worst TV after t steps is at most
-    alpha_star^t / (2 sqrt(min pi))."""
+    alpha_star^t / (2 sqrt(min pi)), where min pi = 1/p^2 is the null
+    circle's mass."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    pi_min = float(min(dist.weights))
+    pi_min = 1 / len(report.eigenvalues) ** 2
     return 0.5 * pi_min**-0.5 * report.alpha_star**t
 
 
@@ -540,9 +530,7 @@ class MinorizationReport:
     all_positive: bool
 
 
-def minorization_check(
-    kernel: StochasticKernel, dist: Distribution
-) -> MinorizationReport:
+def minorization_check(kernel: StochasticKernel) -> MinorizationReport:
     """Verify the four-step minorization of the kernel by the invariant law.
 
     Raises the scaled kernel to the fourth power in exact arithmetic. Every
@@ -558,8 +546,8 @@ def minorization_check(
     e4 = e2 @ e2
     # entries of K^4 scale with pi only columnwise, so one exact ratio per
     # column suffices; min takes the first smallest column
-    ratios = [Fraction(int(n), den4) / w
-              for n, w in zip(e4.min(axis=0), dist.weights)]
+    ratios = [Fraction(int(n), den4) / Fraction(int(w), p * p)
+              for n, w in zip(e4.min(axis=0), stationary_numerators(p))]
     j = min(range(p), key=ratios.__getitem__)
     holds = ratios[j] >= claimed
     return MinorizationReport(
@@ -597,20 +585,20 @@ def bound_report(
 ) -> BoundReport:
     """Full bound pipeline for one modulus.
 
-    Builds the walk kernel, computes its spectrum, evaluates the path and
-    cycle bounds with the default constructions, the closed forms, the
-    coupling bound, and the measured mixing time.
+    Builds the walk kernel, measures the mixing time, computes the
+    spectrum, evaluates the path and cycle bounds with the default
+    constructions, the closed forms and the coupling bound. Measuring first
+    makes a threshold below float64's TV floor fail within a few steps,
+    before the other stages, whose exact contraction powers grow with
+    ln(1/epsilon).
     """
     kernel = build_kernel(StructureTensor(modulus))
-    pi = stationary(modulus)
-    spectral = spectrum(kernel, pi)
-    comp = comparison_bound(
-        kernel, pi, equilibrium_kernel(modulus), pi, default_paths(kernel)
-    )
-    cyc = odd_cycle_bound(kernel, pi, default_cycles(kernel))
+    mixing = mixing_time(kernel, epsilon)
+    spectral = spectrum(kernel)
+    comp = comparison_bound(kernel, equilibrium_kernel(modulus), default_paths(kernel))
+    cyc = odd_cycle_bound(kernel, default_cycles(kernel))
     closed = closed_form_bounds(modulus)
     coup = coupling_bound(modulus, epsilon)
-    mixing = mixing_time(kernel, epsilon)
     return BoundReport(
         p=modulus.p,
         lambda1=spectral.lambda1,

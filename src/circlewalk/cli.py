@@ -207,7 +207,7 @@ def cmd_mix(args) -> int:
 def cmd_spectrum(args) -> int:
     modulus = make_modulus(args.p)
     kernel = walk_mod.build_kernel(circles_mod.StructureTensor(modulus))
-    spectral = bounds_mod.spectrum(kernel, walk_mod.stationary(modulus))
+    spectral = bounds_mod.spectrum(kernel)
     eigenvalues = spectral.eigenvalues.tolist()
     obj = {
         "p": modulus.p,
@@ -254,14 +254,15 @@ SCAN_HEADER = [
 
 def _scan_row(task: tuple[int, float]) -> list:
     """One scan row: only the stages of ``bounds.bound_report`` whose
-    columns scan prints (spectrum, coupling bound, measured tau), so the
-    floats equal those of the row built from the full report."""
+    columns scan prints (measured tau, spectrum, coupling bound), in its
+    order, so the floats equal those of the row built from the full
+    report and an unmixed eps fails as fast."""
     p, eps = task
     modulus = make_modulus(p)
     kernel = walk_mod.build_kernel(circles_mod.StructureTensor(modulus))
-    spectral = bounds_mod.spectrum(kernel, walk_mod.stationary(modulus))
-    coupling_tau = bounds_mod.coupling_bound(modulus, eps).tau_bound
     tau = walk_mod.mixing_time(kernel, eps).tau
+    spectral = bounds_mod.spectrum(kernel)
+    coupling_tau = bounds_mod.coupling_bound(modulus, eps).tau_bound
     return [
         p,
         tau,

@@ -46,11 +46,14 @@ class PrimeModulus:
         for a in range(1, n):
             table[(a * a) % n] = True
         table.setflags(write=False)
-        self.p = n
-        self.residue_table = table
-        self._inv4 = pow(4, -1, n)
         assert int(table.sum()) == (n - 1) // 2
         assert not table[n - 1]  # -1 is a non-square when p = 3 (mod 4)
+        object.__setattr__(self, "p", n)
+        object.__setattr__(self, "residue_table", table)
+        object.__setattr__(self, "_inv4", pow(4, -1, n))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PrimeModulus is immutable")
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +48,10 @@ class NotMixed(RuntimeError):
     def __init__(self, message: str, tv_curve: tuple[float, ...]):
         super().__init__(message)
         self.tv_curve = tv_curve
+
+    def __reduce__(self):
+        # a scan worker's NotMixed crosses the process pool by pickle
+        return NotMixed, (str(self), self.tv_curve)
 
 
 class Distribution:
@@ -194,20 +199,23 @@ class BalanceCheck:
         return self.ok
 
 
-def detailed_balance(kernel: StochasticKernel, dist: Distribution) -> BalanceCheck:
+def detailed_balance(kernel: StochasticKernel, weights) -> BalanceCheck:
     """Exact check of pi(x) K(x, y) == pi(y) K(y, x) for all pairs.
 
-    Over the common denominator of the weights, this compares the integer
-    fluxes num(x) * scaled(x, y) with their transpose, in the dtype
-    ``exact_dtype`` allows; the witness is the first violating (x, y)
-    with x < y in row-major order.
+    ``weights`` are the numerators of pi over any common denominator,
+    nonnegative integers; the denominator cancels from the equation. This
+    compares the integer fluxes num(x) * scaled(x, y) with their
+    transpose, in the dtype ``exact_dtype`` allows; the witness is the
+    first violating (x, y) with x < y in row-major order.
     """
-    if not dist.exact:
-        raise ValueError("detailed balance requires an exact distribution")
-    if len(dist) != kernel.p:
-        raise LengthMismatch(f"{len(dist)} weights vs {kernel.p} states")
-    den = math.lcm(*(w.denominator for w in dist.weights))
-    num = [w.numerator * (den // w.denominator) for w in dist.weights]
+    try:
+        num = [operator.index(w) for w in weights]
+    except TypeError:
+        raise ValueError("weights must be integers") from None
+    if len(num) != kernel.p:
+        raise LengthMismatch(f"{len(num)} weights vs {kernel.p} states")
+    if any(w < 0 for w in num):
+        raise ValueError("negative weight")
     dtype = exact_dtype(max(num) * int(kernel.scaled.max()))
     flux = np.array(num, dtype=dtype)[:, None] * kernel.scaled.astype(dtype)
     # symmetric with a false diagonal: the first hit in row-major order
@@ -377,22 +385,17 @@ def simulate(
 
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, pts.shape[0], size=(trials, steps))
-    if steps > 0:
-        xs = np.cumsum(pts[idx, 0], axis=1) % p
-        ys = np.cumsum(pts[idx, 1], axis=1) % p
-        fx, fy = xs[:, -1], ys[:, -1]
-    else:
-        xs = np.zeros((trials, 0), dtype=np.int64)
-        ys = np.zeros((trials, 0), dtype=np.int64)
-        fx = np.zeros(trials, dtype=np.int64)
-        fy = np.zeros(trials, dtype=np.int64)
+    fx = pts[:, 0][idx].sum(axis=1) % p
+    fy = pts[:, 1][idx].sum(axis=1) % p
 
     finals = (fx * fx + fy * fy) % p
     quadrance_counts = np.bincount(finals, minlength=p)
     plane_counts = np.bincount(fx * p + fy, minlength=p * p).reshape(p, p)
     empirical = Distribution.float_weights(quadrance_counts / trials)
 
-    positions = [(0, 0)] + [(int(xs[0, t]), int(ys[0, t])) for t in range(steps)]
+    # only trial 0's history is kept, as the trace
+    path = np.cumsum(pts[idx[0]], axis=0) % p
+    positions = [(0, 0)] + [(int(x), int(y)) for x, y in path]
     trace = WalkTrace(
         seed=seed,
         positions=tuple(positions),

@@ -35,7 +35,6 @@ from circlewalk.modular import make_modulus
 from circlewalk.walk import (
     DEFAULT_EPSILON,
     BadEpsilon,
-    Distribution,
     StochasticKernel,
     mixing_time,
 )
@@ -48,7 +47,7 @@ def identity_kernel(p):
 def test_spectrum_top_eigenvalue(chain):
     for p in [7, 11, 19]:
         _, _, k, pi = chain(p)
-        spectral = spectrum(k, pi)
+        spectral = spectrum(k)
         assert spectral.eigenvalues[0] == pytest.approx(1.0, abs=1e-9)
         assert spectral.eigenvalues[-1] >= -1 - 1e-9
         assert spectral.alpha_star < 1  # ergodic walk
@@ -57,33 +56,34 @@ def test_spectrum_top_eigenvalue(chain):
 
 def test_spectrum_identity_kernel_degenerate(chain):
     _, _, _, pi = chain(7)
-    spectral = spectrum(identity_kernel(7), pi)
+    spectral = spectrum(identity_kernel(7))
     assert np.allclose(spectral.eigenvalues, 1.0)
 
 
 def test_spectrum_p7_second_eigenvalue_bound(chain):
     _, _, k, pi = chain(7)
-    spectral = spectrum(k, pi)
+    spectral = spectrum(k)
     assert spectral.lambda1 < 1 - 49 / 1920
 
 
-def test_spectrum_rejects_non_reversible(chain):
-    _, _, k, _ = chain(7)
-    uniform = Distribution.exact_weights([Fraction(1, 7)] * 7)
-    with pytest.raises(NotReversible):
-        spectrum(k, uniform)
+def test_spectrum_rejects_non_reversible():
+    # a rotation of the circles: K(x, x + 1) = 1 but K(x + 1, x) = 0
+    rotation = StochasticKernel(np.roll(np.eye(7, dtype=np.int64), 1, axis=1), 1)
+    with pytest.raises(NotReversible,
+                       match=r"^detailed balance fails at pair \(0, 1\)$"):
+        spectrum(rotation)
 
 
 def test_dirichlet_form_constant_is_zero(chain):
     _, _, k, pi = chain(7)
-    assert dirichlet_form(k, pi, np.ones(7)) == pytest.approx(0.0, abs=1e-15)
+    assert dirichlet_form(k, np.ones(7)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dirichlet_form_matches_eigenvalues(chain):
     # eigenvector of the symmetrized kernel, mapped back, has energy 1 - lambda
     for p in [7, 11]:
         _, _, k, pi = chain(p)
-        spectral = spectrum(k, pi)
+        spectral = spectrum(k)
         lam, u = np.linalg.eigh(np.sqrt(k.matrix * k.matrix.T))
         lam, u = lam[::-1], u[:, ::-1]
         assert np.array_equal(lam, spectral.eigenvalues)
@@ -92,7 +92,7 @@ def test_dirichlet_form_matches_eigenvalues(chain):
             g = u[:, i] / sqrt_pi
             norm = float((g * g * pi.to_array()).sum())
             assert norm == pytest.approx(1.0, abs=1e-10)
-            energy = dirichlet_form(k, pi, g)
+            energy = dirichlet_form(k, g)
             assert energy == pytest.approx(1 - spectral.eigenvalues[i], abs=1e-8)
 
 
@@ -105,7 +105,7 @@ def test_dirichlet_form_indicator_hand_oracle(chain):
     for x in range(7):
         for y in range(7):
             expected += 0.5 * (f[x] - f[y]) ** 2 * pif[x] * k.matrix[x, y]
-    assert dirichlet_form(k, pi, f) == pytest.approx(expected, abs=1e-15)
+    assert dirichlet_form(k, f) == pytest.approx(expected, abs=1e-15)
 
 
 def eq2_bruteforce(kernel, pi, other, other_pi, paths):
@@ -142,9 +142,8 @@ def test_comparison_self_with_single_edge_paths(chain):
         for y in range(7)
         if x != y and k.matrix[x, y] > 0
     }
-    comp = comparison_bound(k, pi, k, pi, route_array(paths, 7))
+    comp = comparison_bound(k, k, route_array(paths, 7))
     assert comp.A == pytest.approx(1.0)
-    assert comp.a == pytest.approx(1.0)
     assert comp.A == pytest.approx(eq2_bruteforce(k, pi, k, pi, paths))
 
 
@@ -152,10 +151,9 @@ def test_comparison_equilibrium_with_default_paths(chain):
     for p in [7, 11, 19]:
         m, _, k, pi = chain(p)
         routes = default_paths(k)
-        comp = comparison_bound(k, pi, equilibrium_kernel(m), pi, routes)
+        comp = comparison_bound(k, equilibrium_kernel(m), routes)
         assert comp.A > 1
-        assert comp.a == pytest.approx(1.0)
-        spectral = spectrum(k, pi)
+        spectral = spectrum(k)
         assert spectral.lambda1 <= comp.alpha_upper(0.0) + 1e-9
         if p == 7:
             oracle = eq2_bruteforce(k, pi, equilibrium_kernel(m), pi,
@@ -169,7 +167,7 @@ def test_comparison_missing_path(chain):
     routes[2, 5] = -1
     with pytest.raises(MissingPath,
                        match=r"^no path for support pair \(2, 5\)$"):
-        comparison_bound(k, pi, equilibrium_kernel(m), pi, routes)
+        comparison_bound(k, equilibrium_kernel(m), routes)
 
 
 def test_comparison_invalid_path_edge(chain):
@@ -177,16 +175,16 @@ def test_comparison_invalid_path_edge(chain):
     paths = route_mapping(default_paths(k))
     paths[(2, 5)] = (2, 5) if k.matrix[2, 5] == 0 else (2, 0, 5)
     with pytest.raises(InvalidPathEdge):
-        comparison_bound(k, pi, equilibrium_kernel(m), pi, route_array(paths, 7))
+        comparison_bound(k, equilibrium_kernel(m), route_array(paths, 7))
     mid = default_paths(k)[2, 5, 1]
     paths[(2, 5)] = (mid, 5)
     with pytest.raises(InvalidPathEdge,
                        match=r"^path for \(2, 5\) must run from 2 to 5$"):
-        comparison_bound(k, pi, equilibrium_kernel(m), pi, route_array(paths, 7))
+        comparison_bound(k, equilibrium_kernel(m), route_array(paths, 7))
     paths[(2, 5)] = (2, mid, 2, mid, 5)
     with pytest.raises(InvalidPathEdge,
                        match=rf"^path for \(2, 5\) repeats edge \(2, {mid}\)$"):
-        comparison_bound(k, pi, equilibrium_kernel(m), pi, route_array(paths, 7))
+        comparison_bound(k, equilibrium_kernel(m), route_array(paths, 7))
 
 
 def test_comparison_rejects_malformed_routes(chain):
@@ -195,16 +193,16 @@ def test_comparison_rejects_malformed_routes(chain):
     routes = default_paths(k)
     for bad in (routes[:, :, :1], routes[:6], routes.astype(np.float64)):
         with pytest.raises(ValueError, match="^routes must be"):
-            comparison_bound(k, pi, eq, pi, bad)
+            comparison_bound(k, eq, bad)
     gap = routes.copy()
     gap[2, 5] = (2, -1, 5, -1)
     with pytest.raises(ValueError, match=r"^route padding \(-1\) must come"):
-        comparison_bound(k, pi, eq, pi, gap)
+        comparison_bound(k, eq, gap)
     for node in (-2, 7):
         out = routes.copy()
         out[2, 5, 1] = node
         with pytest.raises(ValueError, match=r"^route entries must lie in"):
-            comparison_bound(k, pi, eq, pi, out)
+            comparison_bound(k, eq, out)
 
 
 def test_default_paths_shapes(chain):
@@ -255,7 +253,7 @@ def test_cycle_length_by_chain_self_loop(chain):
     _, _, k, pi = chain(7)
     assert k.matrix[2, 2] > 0
     expected = 1.0 / (float(pi.weights[2]) * k.matrix[2, 2])
-    assert cycle_length_by_chain(k, pi, (2, 2)) == pytest.approx(expected)
+    assert cycle_length_by_chain(k, (2, 2)) == pytest.approx(expected)
 
 
 def test_default_cycles_valid_and_short(chain):
@@ -304,8 +302,8 @@ def test_five_edge_cycle_without_an_odd_cycle():
 def test_odd_cycle_bound_validates_spectrum(chain):
     for p in [7, 11, 19]:
         m, _, k, pi = chain(p)
-        bound = odd_cycle_bound(k, pi, default_cycles(k))
-        spectral = spectrum(k, pi)
+        bound = odd_cycle_bound(k, default_cycles(k))
+        spectral = spectrum(k)
         assert spectral.lambda_min >= bound.alpha_min_lower - 1e-9
 
 
@@ -315,7 +313,7 @@ def test_odd_cycle_bound_rejects_even_cycle(chain):
     assert k.matrix[2, 3] > 0 and k.matrix[3, 2] > 0
     cycles[2] = (2, 3, 2)  # two edges
     with pytest.raises(EvenCycle):
-        odd_cycle_bound(k, pi, cycles)
+        odd_cycle_bound(k, cycles)
 
 
 def test_odd_cycle_bound_rejects_bad_edge(chain):
@@ -324,11 +322,11 @@ def test_odd_cycle_bound_rejects_bad_edge(chain):
     assert k.matrix[5, 5] == 0
     cycles[5] = (5, 5)
     with pytest.raises(InvalidCycleEdge):
-        odd_cycle_bound(k, pi, cycles)
+        odd_cycle_bound(k, cycles)
     assert k.matrix[2, 2] > 0
     cycles[2] = (2, 2, 3)
     with pytest.raises(InvalidCycleEdge, match="^cycle for 2 must start and end at 2$"):
-        odd_cycle_bound(k, pi, cycles)
+        odd_cycle_bound(k, cycles)
 
 
 def test_odd_cycle_bound_missing_cycle(chain):
@@ -336,10 +334,10 @@ def test_odd_cycle_bound_missing_cycle(chain):
     cycles = dict(default_cycles(k))
     del cycles[3]
     with pytest.raises(MissingCycle, match="^no cycle for state 3$"):
-        odd_cycle_bound(k, pi, cycles)
+        odd_cycle_bound(k, cycles)
     cycles[2] = (2, 2, 2, 2)  # three edges, all the same loop
     with pytest.raises(InvalidCycleEdge, match=r"^cycle for 2 repeats edge \(2, 2\)$"):
-        odd_cycle_bound(k, pi, cycles)
+        odd_cycle_bound(k, cycles)
 
 
 def test_closed_form_values_p7():
@@ -353,7 +351,7 @@ def test_closed_form_values_p7():
 def test_closed_forms_hold_for_spectrum(chain):
     for p in [7, 11, 19, 23]:
         m, _, k, pi = chain(p)
-        spectral = spectrum(k, pi)
+        spectral = spectrum(k)
         cf = closed_form_bounds(m)
         assert spectral.lambda1 <= cf.alpha1_upper + 1e-9
         assert spectral.lambda_min >= cf.alpha_min_lower - 1e-9
@@ -361,23 +359,23 @@ def test_closed_forms_hold_for_spectrum(chain):
 
 def test_spectral_tv_bound_examples(chain):
     m, _, k, pi = chain(7)
-    spectral = spectrum(k, pi)
-    assert spectral_tv_bound(spectral, pi, 0) == pytest.approx(3.5)
-    eq_spec = spectrum(equilibrium_kernel(m), pi)
+    spectral = spectrum(k)
+    assert spectral_tv_bound(spectral, 0) == pytest.approx(3.5)
+    eq_spec = spectrum(equilibrium_kernel(m))
     assert eq_spec.alpha_star == pytest.approx(0.0, abs=1e-12)
-    assert spectral_tv_bound(eq_spec, pi, 1) <= 1e-9
+    assert spectral_tv_bound(eq_spec, 1) <= 1e-9
 
 
 def test_spectral_tv_bound_dominates_measured(chain):
     for p in [7, 11]:
         _, _, k, pi = chain(p)
-        spectral = spectrum(k, pi)
+        spectral = spectrum(k)
         tau = mixing_time(k).tau
         rows = np.eye(p)
         pif = pi.to_array()
         for t in range(2 * tau + 1):
             worst = 0.5 * np.abs(rows - pif).sum(axis=1).max()
-            assert worst <= spectral_tv_bound(spectral, pi, t) + 1e-9
+            assert worst <= spectral_tv_bound(spectral, t) + 1e-9
             rows = rows @ k.matrix
 
 
@@ -435,7 +433,7 @@ def test_measured_mixing_below_coupling(chain):
 def test_minorization_claim(chain):
     for p in [7, 11, 19, 23]:
         m, _, k, pi = chain(p)
-        report = minorization_check(k, pi)
+        report = minorization_check(k)
         assert isinstance(report.min_ratio, Fraction)
         assert report.holds
         assert report.all_positive
@@ -449,7 +447,7 @@ def test_minorization_claim(chain):
 @pytest.mark.parametrize("p", [211, 499])
 def test_minorization_exact_at_large_p(chain, p):
     _, _, k, pi = chain(p)
-    report = minorization_check(k, pi)
+    report = minorization_check(k)
     # oracle: K^4 in int64 and one Fraction per column over (p+1)^4
     s = k.scaled.astype(np.int64)
     e4 = s @ s @ s @ s
@@ -473,7 +471,7 @@ def test_minorization_witness_on_a_lazy_kernel(chain, denominator, dtype):
     # is 0, first reached in column 0 at row 1
     lazy = StochasticKernel(denominator * np.eye(7, dtype=np.int64), denominator)
     assert exact_dtype(denominator**4) is dtype
-    report = minorization_check(lazy, pi)
+    report = minorization_check(lazy)
     assert (report.holds, report.min_ratio, report.witness) == (False, 0, (1, 0))
     assert not report.all_positive
 

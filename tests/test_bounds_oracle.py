@@ -150,16 +150,16 @@ def test_arrays_match_the_loops_for_every_generator(p):
         routes = default_paths(kernel)
         assert routes.shape == (p, p, 4) and routes.dtype == np.int64
         assert np.array_equal(routes, route_array(paths, p))
-        comp = comparison_bound(kernel, pi, eq, pi, routes)
+        comp = comparison_bound(kernel, eq, routes)
         assert comp.A == comparison_loop(kernel, pi, eq, pi, paths)
         exact = exact_congestion(kernel, paths)
         assert abs(Fraction(comp.A) - exact) <= Fraction(1, 10**12) * exact
         cycles = default_cycles(kernel)
         assert cycles == cycles_loop(kernel)
         # the bounds hold for the walk generated by C_m, not only C_1
-        spectral = spectrum(kernel, pi)
+        spectral = spectrum(kernel)
         assert spectral.lambda1 <= comp.alpha_upper(0.0) + 1e-9
-        cyc = odd_cycle_bound(kernel, pi, cycles)
+        cyc = odd_cycle_bound(kernel, cycles)
         assert spectral.lambda_min >= cyc.alpha_min_lower - 1e-9
 
 
@@ -202,5 +202,5 @@ def test_broken_routes_raise_what_the_loop_raises(data):
     expected = outcome(comparison_loop, kernel, pi, eq, pi, paths)
     assert expected[0] != "ok"
     got = outcome(lambda *a: comparison_bound(*a).A,
-                  kernel, pi, eq, pi, route_array(paths, p))
+                  kernel, eq, route_array(paths, p))
     assert got == expected

@@ -52,7 +52,8 @@ def tampered_modulus(p):
     table = m.residue_table.copy()
     b = int(np.flatnonzero(~table[1:])[0]) + 1
     table[1], table[b] = False, True
-    m.residue_table = table
+    # PrimeModulus refuses plain assignment
+    object.__setattr__(m, "residue_table", table)
     return m
 
 

@@ -292,6 +292,35 @@ def test_mix_below_the_tv_floor_exit_3(capsys):
     assert "not mixed" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["bounds", "--p", "103"],
+    ["scan", "--p-min", "7", "--p-max", "11", "--jobs", "1"],
+])
+def test_below_the_tv_floor_exits_before_the_coupling_bound(
+        capsys, monkeypatch, command):
+    # tau is measured first, so its NotMixed comes before the exact
+    # contraction powers, whose size grows with ln(1/eps)
+    import circlewalk.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the coupling bound ran before tau")
+
+    monkeypatch.setattr(cli_mod.bounds_mod, "coupling_bound", no_work)
+    code, out, err = run(capsys, *command, "--eps", "1e-300")
+    assert (code, out) == (3, "")
+    assert err.startswith("not mixed: worst TV stopped falling")
+
+
+def test_parallel_scan_not_mixed_exit_3(capsys):
+    # a worker's NotMixed crosses the pool intact: same exit and message
+    # as the in-process scan
+    argv = ["scan", "--p-min", "7", "--p-max", "19", "--eps", "1e-300"]
+    serial = run(capsys, *argv, "--jobs", "1")
+    parallel = run(capsys, *argv, "--jobs", "2")
+    assert serial[0] == 3 and serial[1] == ""
+    assert parallel == serial
+
+
 def test_axioms_csv(capsys):
     code, out, _ = run(capsys, "axioms", "--p", "7")
     assert code == 0

@@ -44,6 +44,17 @@ def test_field_properties_exhaustive(p):
     assert not m.residue_table[p - 1]  # -1 is a non-square
 
 
+def test_modulus_is_immutable():
+    m = make_modulus(7)
+    with pytest.raises(AttributeError, match="^PrimeModulus is immutable$"):
+        m.p = 11
+    with pytest.raises(AttributeError, match="^PrimeModulus is immutable$"):
+        m.residue_table = make_modulus(11).residue_table
+    with pytest.raises(ValueError):  # and the table itself is read-only
+        m.residue_table[1] = False
+    assert m.p == 7 and m.residue_table[1]
+
+
 def test_primes_3_mod_4_range():
     assert primes_3_mod_4(7, 23) == [7, 11, 19, 23]
     assert primes_3_mod_4(3, 7) == [3, 7]

@@ -1,0 +1,56 @@
+"""The README's ``Library`` block runs, and its values are the ones its
+comments state, so the documented signatures cannot go stale."""
+
+import ast
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# expression in the block -> the value its comment states; a trailing
+# "..." means the repr starts with what comes before it
+CLAIMS = {
+    "tensor.constant(1, 1, 0)": "Fraction(1, 8)",
+    "mixing_time(kernel).tau": "4",
+    "coupling_bound(m).tau_bound": "92",
+    "spectrum(kernel).alpha_star": "0.5617...",
+    "comparison_bound(kernel, equilibrium_kernel(m), routes).A": "11.4285...",
+    "odd_cycle_bound(kernel, cycles).v": "32.0",
+}
+
+
+def library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^## Library\n\n```python\n(.*?)^```", text, re.M | re.S)
+    assert match, "README has no python block under ## Library"
+    return match.group(1)
+
+
+def run_block(source: str) -> dict:
+    """Run the block statement by statement; the value of each bare
+    expression, keyed by its source text."""
+    namespace: dict = {}
+    values = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(source, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return values
+
+
+def test_readme_library_block_states_its_values():
+    source = library_block()
+    comments = {}
+    for line in source.splitlines():
+        code, _, comment = line.partition("#")
+        comments[code.strip()] = comment.strip()
+    values = run_block(source)
+    for expr, claim in CLAIMS.items():
+        assert comments[expr].startswith(claim), expr
+        shown = repr(values[expr])
+        if claim.endswith("..."):
+            assert shown.startswith(claim[:-3]), (expr, shown)
+        else:
+            assert shown == claim, (expr, shown)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -96,20 +97,20 @@ def test_stationary_invariant_for_every_generator(p, chain):
 
 
 def test_detailed_balance_examples(chain):
-    m, _, k, pi = chain(7)
-    assert detailed_balance(k, pi).ok
-    uniform = Distribution.exact_weights([Fraction(1, 7)] * 7)
-    res = detailed_balance(k, uniform)
+    _, _, k, _ = chain(7)
+    law = stationary_numerators(7)
+    assert detailed_balance(k, law).ok
+    # the denominator cancels, so any multiple of the law balances
+    assert detailed_balance(k, (3 * law).tolist()).ok
+    res = detailed_balance(k, [1] * 7)  # uniform
     assert not res.ok
     assert 0 in res.witness  # violation involves the null-circle row
-    delta0 = Distribution.point_mass(7, 0)
-    assert not detailed_balance(k, delta0).ok
+    assert not detailed_balance(k, [1, 0, 0, 0, 0, 0, 0]).ok  # point mass
 
 
-def balance_witness_by_loop(kernel, dist):
-    """First (x, y), x < y in row-major order, with pi(x) K(x, y) !=
-    pi(y) K(y, x), compared as Fractions; None when balance holds."""
-    w = dist.weights
+def balance_witness_by_loop(kernel, w):
+    """First (x, y), x < y in row-major order, with w(x) K(x, y) !=
+    w(y) K(y, x), compared as Fractions; None when balance holds."""
     for x in range(kernel.p):
         for y in range(x + 1, kernel.p):
             if w[x] * kernel.exact(x, y) != w[y] * kernel.exact(y, x):
@@ -130,17 +131,22 @@ def test_detailed_balance_witness_matches_the_fraction_loop(chain, p, data):
     weights = [scale * n for n in stationary_numerators(p).tolist()]
     for x in data.draw(st.lists(st.integers(0, p - 1), max_size=3, unique=True)):
         weights[x] += data.draw(st.integers(-1, 1))
-    dist = Distribution.exact_weights(Fraction(w, sum(weights)) for w in weights)
-    check = detailed_balance(k, dist)
-    assert check.witness == balance_witness_by_loop(k, dist)
+    check = detailed_balance(k, weights)
+    assert check.witness == balance_witness_by_loop(k, weights)
     assert check.ok == (check.witness is None)
 
 
 def test_detailed_balance_requires_exact(chain):
+    # the weights are integer numerators: floats, Fractions, negatives and
+    # a wrong length are refused
     _, _, k, _ = chain(7)
-    f = Distribution.float_weights([1 / 7] * 7)
-    with pytest.raises(ValueError):
-        detailed_balance(k, f)
+    for inexact in ([1 / 7] * 7, [Fraction(1, 7)] * 7, np.full(7, 8.0)):
+        with pytest.raises(ValueError, match="^weights must be integers$"):
+            detailed_balance(k, inexact)
+    with pytest.raises(ValueError, match="^negative weight$"):
+        detailed_balance(k, [-1] + [8] * 6)
+    with pytest.raises(LengthMismatch, match="^11 weights vs 7 states$"):
+        detailed_balance(k, stationary_numerators(11))
 
 
 def test_tv_distance_examples(chain):
@@ -256,11 +262,11 @@ def test_mixing_report_invariants(chain):
 @settings(max_examples=30, deadline=None)
 @given(p=st.sampled_from([7, 11, 19, 23]), data=st.data())
 def test_every_generator_kernel_is_stochastic_and_balanced(chain, p, data):
-    _, tensor, _, pi = chain(p)
+    _, tensor, _, _ = chain(p)
     k = build_kernel(tensor, data.draw(st.integers(1, p - 1)))
     assert (k.scaled >= 0).all()
     assert (k.scaled.sum(axis=1) == k.denominator).all()
-    assert detailed_balance(k, pi).ok
+    assert detailed_balance(k, stationary_numerators(p)).ok
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,6 +357,13 @@ def test_mixing_time_stops_when_the_tv_stops_falling(chain):
     assert f"after {len(curve) - 1} steps" in str(exc.value)
 
 
+def test_not_mixed_survives_a_pickle_round_trip():
+    # scan's process pool sends a worker's NotMixed back by pickle
+    err = pickle.loads(pickle.dumps(NotMixed("worst TV still 0.5", (1.0, 0.5))))
+    assert type(err) is NotMixed
+    assert (str(err), err.tv_curve) == ("worst TV still 0.5", (1.0, 0.5))
+
+
 def test_mixing_time_bad_epsilon(chain):
     _, _, k, _ = chain(7)
     with pytest.raises(BadEpsilon):
@@ -400,7 +413,7 @@ def test_all_generators_mix_alike(p, chain):
     for g in range(1, p):
         k = build_kernel(t, g)
         tau = mixing_time(k).tau
-        eig = spectrum(k, pi).eigenvalues
+        eig = spectrum(k).eigenvalues
         if reference is None:
             reference = (tau, eig)
         else:
