@@ -20,7 +20,6 @@ from .circles import (
 from .walk import (
     DEFAULT_EPSILON,
     BadEpsilon,
-    Distribution,
     LengthMismatch,
     MixingReport,
     NotMixed,
@@ -30,11 +29,9 @@ from .walk import (
     boost_epsilon,
     build_kernel,
     detailed_balance,
-    iterate,
     mixing_time,
     simulate,
     stationary,
-    tv_distance,
 )
 from .bounds import (
     BoundReport,

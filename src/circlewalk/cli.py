@@ -232,7 +232,7 @@ def cmd_simulate(args) -> int:
     modulus = make_modulus(args.p)
     result = walk_mod.simulate(modulus, args.steps, args.trials, args.seed)
     counts = result.quadrance_counts.tolist()
-    frequencies = list(result.empirical.weights)
+    frequencies = (result.quadrance_counts / args.trials).tolist()
     obj = {
         "p": modulus.p,
         "steps": args.steps,
@@ -267,7 +267,7 @@ def _scan_row(task: tuple[int, float]) -> list:
         p,
         tau,
         coupling_tau,
-        1.0 - spectral.lambda1,
+        spectral.gap,
         spectral.alpha_star,
         tau / p,
         tau / math.log(p),

@@ -27,6 +27,7 @@ from .circles import StructureTensor, circle_points, exact_dtype, quadrance
 from .modular import PrimeModulus
 
 DEFAULT_EPSILON = 1 / (2 * math.e)
+TRIAL_BLOCK = 2**16  # trials whose steps ``simulate`` gathers at once
 
 
 class ZeroGenerator(ValueError):
@@ -38,7 +39,8 @@ class BadEpsilon(ValueError):
 
 
 class LengthMismatch(ValueError):
-    """Distributions over state spaces of different sizes."""
+    """Weights whose count differs from the kernel's state count, as
+    ``detailed_balance`` refuses them."""
 
 
 class NotMixed(RuntimeError):
@@ -52,71 +54,6 @@ class NotMixed(RuntimeError):
     def __reduce__(self):
         # a scan worker's NotMixed crosses the process pool by pickle
         return NotMixed, (str(self), self.tv_curve)
-
-
-class Distribution:
-    """Probability vector over circle indices, exact or float flavored.
-
-    Exact instances hold Fractions summing to 1 exactly; float instances
-    hold float64 weights summing to 1 within 1e-12. All weights must be
-    nonnegative.
-    """
-
-    __slots__ = ("weights", "exact")
-
-    def __init__(self, weights, exact: bool):
-        weights = tuple(weights)
-        if exact:
-            weights = tuple(Fraction(w) for w in weights)
-            if any(w < 0 for w in weights):
-                raise ValueError("negative weight")
-            if sum(weights) != 1:
-                raise ValueError("exact weights must sum to 1")
-        else:
-            weights = tuple(float(w) for w in weights)
-            if any(w < 0 for w in weights):
-                raise ValueError("negative weight")
-            if abs(sum(weights) - 1.0) > 1e-12:
-                raise ValueError("float weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Distribution)
-            and self.exact == other.exact
-            and self.weights == other.weights
-        )
-
-    def __hash__(self):
-        return hash((self.exact, self.weights))
-
-    def __repr__(self) -> str:
-        flavor = "exact" if self.exact else "float"
-        return f"Distribution({flavor}, n={len(self.weights)})"
-
-    @classmethod
-    def exact_weights(cls, weights) -> "Distribution":
-        return cls(weights, exact=True)
-
-    @classmethod
-    def float_weights(cls, weights) -> "Distribution":
-        return cls(weights, exact=False)
-
-    @classmethod
-    def point_mass(cls, n: int, i: int) -> "Distribution":
-        if not 0 <= i < n:
-            raise IndexError(f"state {i} out of range [0, {n})")
-        return cls([Fraction(x == i) for x in range(n)], exact=True)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights], dtype=np.float64)
 
 
 class StochasticKernel:
@@ -180,12 +117,16 @@ def stationary_numerators(p: int) -> np.ndarray:
     return w
 
 
-def stationary(modulus: PrimeModulus) -> Distribution:
-    """Invariant law of every circle walk, exact."""
+def stationary_array(p: int) -> np.ndarray:
+    """Float projection of the invariant law for state count p."""
+    return stationary_numerators(p) / p**2
+
+
+def stationary(modulus: PrimeModulus) -> tuple[Fraction, ...]:
+    """Invariant law of every circle walk, exact: the numerators over p^2
+    as Fractions."""
     p = modulus.p
-    return Distribution.exact_weights(
-        Fraction(int(w), p * p) for w in stationary_numerators(p)
-    )
+    return tuple(Fraction(int(w), p * p) for w in stationary_numerators(p))
 
 
 @dataclass(frozen=True)
@@ -224,27 +165,6 @@ def detailed_balance(kernel: StochasticKernel, weights) -> BalanceCheck:
     if bad.size:
         return BalanceCheck(False, (int(bad[0, 0]), int(bad[0, 1])))
     return BalanceCheck(True)
-
-
-def tv_distance(mu: Distribution, nu: Distribution):
-    """Total variation: half the L1 distance. Exact when both inputs are."""
-    if len(mu) != len(nu):
-        raise LengthMismatch(f"{len(mu)} vs {len(nu)} states")
-    if mu.exact and nu.exact:
-        return sum(abs(a - b) for a, b in zip(mu.weights, nu.weights)) / 2
-    return float(0.5 * np.abs(mu.to_array() - nu.to_array()).sum())
-
-
-def iterate(kernel: StochasticKernel, start: Distribution, t: int) -> Distribution:
-    """Law of the walk after t steps from ``start``, in float64."""
-    if t < 0:
-        raise ValueError("step count must be nonnegative")
-    if len(start) != kernel.p:
-        raise LengthMismatch(f"{len(start)} weights vs {kernel.p} states")
-    v = start.to_array()
-    for _ in range(t):
-        v = v @ kernel.matrix
-    return Distribution.float_weights(v)
 
 
 @dataclass(frozen=True)
@@ -324,13 +244,8 @@ def mixing_time(
         row = row @ kernel.matrix
 
 
-def stationary_array(p: int) -> np.ndarray:
-    """Float projection of the invariant law for state count p."""
-    return stationary_numerators(p) / p**2
-
-
 def boost_epsilon(tau_base: int, epsilon: float) -> int:
-    """Step budget at threshold ``epsilon`` from the budget at 1/(2e).
+    """Upper bound on tau at ``epsilon``, derived from tau at 1/(2e).
 
     One crossing at 1/(2e) shrinks TV geometrically, so tau multiplies by
     ceil(ln(1/epsilon)). Thresholds at or above 1/(2e) need no boost.
@@ -363,7 +278,6 @@ class SimulationResult:
     seed: int
     quadrance_counts: np.ndarray
     plane_counts: np.ndarray
-    empirical: Distribution
     trace: WalkTrace
 
 
@@ -384,14 +298,21 @@ def simulate(
     pts = np.asarray(circle_points(modulus, 1), dtype=np.int64)
 
     rng = np.random.default_rng(seed)
+    # one call: numpy's bounded draws buffer and reject within a call, so
+    # drawing block by block would shift the seeded stream. The gather and
+    # the sums go by blocks of trials, so one block of steps is held at once
     idx = rng.integers(0, pts.shape[0], size=(trials, steps))
-    fx = pts[:, 0][idx].sum(axis=1) % p
-    fy = pts[:, 1][idx].sum(axis=1) % p
+    fx, fy = (
+        np.concatenate([
+            coord[idx[lo:lo + TRIAL_BLOCK]].sum(axis=1)
+            for lo in range(0, trials, TRIAL_BLOCK)
+        ]) % p
+        for coord in pts.T
+    )
 
     finals = (fx * fx + fy * fy) % p
     quadrance_counts = np.bincount(finals, minlength=p)
     plane_counts = np.bincount(fx * p + fy, minlength=p * p).reshape(p, p)
-    empirical = Distribution.float_weights(quadrance_counts / trials)
 
     # only trial 0's history is kept, as the trace
     path = np.cumsum(pts[idx[0]], axis=0) % p
@@ -402,5 +323,5 @@ def simulate(
         quadrances=tuple(quadrance(modulus, x, y) for x, y in positions),
     )
     return SimulationResult(
-        p, steps, trials, seed, quadrance_counts, plane_counts, empirical, trace
+        p, steps, trials, seed, quadrance_counts, plane_counts, trace
     )

@@ -16,5 +16,6 @@ def _chain(p):
 
 @pytest.fixture(scope="session")
 def chain():
-    """Cached (modulus, tensor, kernel, stationary law) per prime."""
+    """Cached (modulus, tensor, kernel, exact stationary law) per prime;
+    the law is the tuple of Fractions ``stationary`` returns."""
     return _chain

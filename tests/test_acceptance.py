@@ -29,14 +29,12 @@ from circlewalk.circles import (
 from circlewalk.modular import primes_3_mod_4
 from circlewalk.walk import (
     DEFAULT_EPSILON,
-    Distribution,
     boost_epsilon,
     detailed_balance,
-    iterate,
     mixing_time,
     simulate,
+    stationary_array,
     stationary_numerators,
-    tv_distance,
 )
 
 ORACLE_PRIMES = [7, 11, 19, 23, 31]
@@ -114,14 +112,14 @@ def test_criterion_03_stationary_distribution(chain):
     for p in STATIONARY_PRIMES:
         _, _, kernel, pi = chain(p)
         for j in range(p):
-            image = sum(pi.weights[i] * kernel.exact(i, j) for i in range(p))
-            if image != pi.weights[j]:
-                failures.append(f"p={p}: (pi K)[{j}] = {image} != {pi.weights[j]}")
+            image = sum(pi[i] * kernel.exact(i, j) for i in range(p))
+            if image != pi[j]:
+                failures.append(f"p={p}: (pi K)[{j}] = {image} != {pi[j]}")
                 break
         if not detailed_balance(kernel, stationary_numerators(p)).ok:
             failures.append(f"p={p}: detailed balance fails")
     verbatim = (Fraction(1, 49),) + (Fraction(8, 49),) * 6
-    if chain(7)[3].weights != verbatim:
+    if chain(7)[3] != verbatim:
         failures.append("p=7 stationary vector is not (1/49, 8/49 x 6)")
     _finish(3, "stationary law exact with detailed balance", failures)
 
@@ -197,11 +195,11 @@ def test_criterion_06_spectral_bounds(chain, spectra):
 def test_criterion_07_tv_envelope(chain, spectra):
     failures = []
     for p in ENVELOPE_PRIMES:
-        _, _, kernel, pi = chain(p)
+        _, _, kernel, _ = chain(p)
         alpha = spectra[p].alpha_star
         tau = mixing_time(kernel).tau
         rows = np.eye(p)
-        pif = pi.to_array()
+        pif = stationary_array(p)
         for t in range(2 * tau + 1):
             worst = float(0.5 * np.abs(rows - pif).sum(axis=1).max())
             envelope = 0.5 * p * alpha**t
@@ -231,15 +229,14 @@ def test_criterion_09_monte_carlo(chain):
     m, _, kernel, _ = chain(7)
     trials = 100000
     run_a = simulate(m, steps=20, trials=trials, seed=42)
-    exact = iterate(kernel, Distribution.point_mass(7, 0), 20)
-    gap = tv_distance(run_a.empirical, exact)
+    exact = np.linalg.matrix_power(kernel.matrix, 20)[0]
+    freq_a = run_a.quadrance_counts / trials
+    gap = 0.5 * np.abs(freq_a - exact).sum()
     if gap > 0.02:
         failures.append(f"TV(empirical, exact) = {gap:.4f} > 0.02")
     run_b = simulate(m, steps=20, trials=trials, seed=43)
-    seed_gap = tv_distance(run_a.empirical, run_b.empirical)
-    se = 0.5 * sum(
-        math.sqrt(2 * w * (1 - w) / trials) for w in exact.weights
-    )
+    seed_gap = 0.5 * np.abs(freq_a - run_b.quadrance_counts / trials).sum()
+    se = 0.5 * sum(math.sqrt(2 * w * (1 - w) / trials) for w in exact)
     if seed_gap > 3 * se:
         failures.append(f"TV across seeds = {seed_gap:.4f} > 3 x {se:.4f}")
     _finish(9, "Monte Carlo agrees with exact iteration", failures)

@@ -68,8 +68,8 @@ def comparison_loop(kernel, dist, other_kernel, other_dist, paths):
     """A by one float sum per edge, pairs row-major and edges in path order."""
     p = kernel.p
     support = kernel.scaled > 0
-    pi = dist.to_array()
-    other_pi = other_dist.to_array()
+    pi = np.array(dist, dtype=float)
+    other_pi = np.array(other_dist, dtype=float)
     other_k = other_kernel.matrix
     congestion = {}
     for x in range(p):

@@ -11,6 +11,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # "..." means the repr starts with what comes before it
 CLAIMS = {
     "tensor.constant(1, 1, 0)": "Fraction(1, 8)",
+    "stationary(m)": "(Fraction(1, 49), Fraction(8, 49), ...",
     "mixing_time(kernel).tau": "4",
     "coupling_bound(m).tau_bound": "92",
     "spectrum(kernel).alpha_star": "0.5617...",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from circlewalk.circles import (
     StructureTensor,
+    circle_points,
     circle_size,
     pair_quadrance_counts,
     quadrance,
@@ -18,8 +19,8 @@ from circlewalk.bounds import smallest_contraction_power
 from circlewalk.modular import make_modulus, primes_3_mod_4
 from circlewalk.walk import (
     DEFAULT_EPSILON,
+    TRIAL_BLOCK,
     BadEpsilon,
-    Distribution,
     LengthMismatch,
     MixingReport,
     NotMixed,
@@ -27,13 +28,11 @@ from circlewalk.walk import (
     boost_epsilon,
     build_kernel,
     detailed_balance,
-    iterate,
     mixing_time,
     simulate,
     stationary,
     stationary_array,
     stationary_numerators,
-    tv_distance,
 )
 
 
@@ -74,16 +73,16 @@ def test_zero_generator_rejected(chain):
 
 def test_stationary_examples():
     pi7 = stationary(make_modulus(7))
-    assert pi7.weights == (Fraction(1, 49),) + (Fraction(8, 49),) * 6
+    assert pi7 == (Fraction(1, 49),) + (Fraction(8, 49),) * 6
     pi11 = stationary(make_modulus(11))
-    assert pi11.weights[0] == Fraction(1, 121)
-    assert all(w == Fraction(12, 121) for w in pi11.weights[1:])
-    assert sum(pi11.weights) == 1
+    assert pi11[0] == Fraction(1, 121)
+    assert all(w == Fraction(12, 121) for w in pi11[1:])
+    assert sum(pi11) == 1
 
 
 def test_stationary_array_is_the_exact_law_in_float64():
     for p in primes_3_mod_4(7, 499):
-        exact = stationary(make_modulus(p)).to_array()
+        exact = np.array([float(w) for w in stationary(make_modulus(p))])
         assert np.array_equal(stationary_array(p), exact)
 
 
@@ -93,7 +92,7 @@ def test_stationary_invariant_for_every_generator(p, chain):
     for g in range(1, p):
         k = build_kernel(t, g)
         for j in range(p):
-            assert sum(pi.weights[i] * k.exact(i, j) for i in range(p)) == pi.weights[j]
+            assert sum(pi[i] * k.exact(i, j) for i in range(p)) == pi[j]
 
 
 def test_detailed_balance_examples(chain):
@@ -147,39 +146,6 @@ def test_detailed_balance_requires_exact(chain):
         detailed_balance(k, [-1] + [8] * 6)
     with pytest.raises(LengthMismatch, match="^11 weights vs 7 states$"):
         detailed_balance(k, stationary_numerators(11))
-
-
-def test_tv_distance_examples(chain):
-    m, _, _, pi = chain(7)
-    assert tv_distance(pi, pi) == 0
-    delta0 = Distribution.point_mass(7, 0)
-    assert tv_distance(delta0, pi) == Fraction(48, 49)
-    delta1 = Distribution.point_mass(7, 1)
-    assert tv_distance(delta0, delta1) == 1
-    with pytest.raises(LengthMismatch):
-        tv_distance(delta0, Distribution.point_mass(11, 0))
-
-
-def test_tv_distance_float_flavor():
-    a = Distribution.float_weights([0.5, 0.5, 0.0])
-    b = Distribution.float_weights([0.0, 0.5, 0.5])
-    assert tv_distance(a, b) == pytest.approx(0.5)
-
-
-def test_iterate_examples(chain):
-    _, _, k, pi = chain(7)
-    delta0 = Distribution.point_mass(7, 0)
-    assert iterate(k, delta0, 0).weights == tuple(float(w) for w in delta0.weights)
-    one = iterate(k, delta0, 1)
-    assert one.weights[1] == 1.0 and sum(one.weights) == 1.0
-    drift = iterate(k, pi, 37)
-    assert max(abs(a - float(b)) for a, b in zip(drift.weights, pi.weights)) < 1e-12
-
-
-def test_iterate_converges(chain):
-    _, _, k, pi = chain(11)
-    far = iterate(k, Distribution.point_mass(11, 0), 200)
-    assert tv_distance(far, Distribution.float_weights(pi.to_array())) < 1e-9
 
 
 def test_mixing_time_eps_one(chain):
@@ -389,18 +355,17 @@ def test_boost_epsilon_dominates_direct_measurement(p, chain):
     assert direct <= boost_epsilon(base, 0.01)
 
 
-def test_iterate_matches_exact_rational_products(chain):
-    # float64 route against vector-matrix products done entirely in rationals
-    _, _, k, _ = chain(7)
-    exact = [Fraction(x == 0) for x in range(7)]
-    for t in range(1, 7):
-        exact = [
-            sum(exact[i] * k.exact(i, j) for i in range(7)) for j in range(7)
-        ]
-        approx = iterate(k, Distribution.point_mass(7, 0), t)
-        assert max(
-            abs(a - float(b)) for a, b in zip(approx.weights, exact)
-        ) < 1e-12
+@pytest.mark.parametrize("p", [7, 11])
+def test_tv_curve_matches_exact_rational_products(p, chain):
+    # the float64 curve against the TV from circle 0 computed entirely in
+    # rationals: row products through the exact kernel, and the exact law
+    _, _, k, pi = chain(p)
+    curve = mixing_time(k, 1e-12).tv_curve
+    row = [Fraction(x == 0) for x in range(p)]
+    for t, tv in enumerate(curve):
+        exact = sum(abs(a - b) for a, b in zip(row, pi)) / 2
+        assert abs(tv - exact) <= 1e-12, (p, t)
+        row = [sum(row[i] * k.exact(i, j) for i in range(p)) for j in range(p)]
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -453,11 +418,34 @@ def test_simulate_trace_invariants():
         assert quadrance(m, *pos) == q
 
 
+def test_simulate_sums_by_blocks_like_one_gather():
+    # more trials than one block: the blocked sums against one gather of
+    # every trial's steps, from the same seeded draws
+    m = make_modulus(7)
+    trials, steps, seed = 70_000, 3, 5
+    assert trials > TRIAL_BLOCK
+    result = simulate(m, steps=steps, trials=trials, seed=seed)
+    pts = np.asarray(circle_points(m, 1), dtype=np.int64)
+    idx = np.random.default_rng(seed).integers(0, len(pts), size=(trials, steps))
+    ends = pts[idx].sum(axis=1) % 7
+    fx, fy = ends[:, 0], ends[:, 1]
+    assert (result.quadrance_counts
+            == np.bincount((fx * fx + fy * fy) % 7, minlength=7)).all()
+    assert (result.plane_counts
+            == np.bincount(fx * 7 + fy, minlength=49).reshape(7, 7)).all()
+    path = np.cumsum(pts[idx[0]], axis=0) % 7
+    positions = ((0, 0),) + tuple(map(tuple, path.tolist()))
+    assert result.trace.positions == positions
+    assert result.trace.quadrances == tuple(
+        (x * x + y * y) % 7 for x, y in positions)
+
+
 def test_simulate_matches_exact_iteration(chain):
     m, _, k, _ = chain(7)
     result = simulate(m, steps=20, trials=100000, seed=42)
-    exact = iterate(k, Distribution.point_mass(7, 0), 20)
-    assert tv_distance(result.empirical, exact) <= 0.02
+    exact = np.linalg.matrix_power(k.matrix, 20)[0]
+    freq = result.quadrance_counts / result.trials
+    assert 0.5 * np.abs(freq - exact).sum() <= 0.02
 
 
 def test_simulate_two_seeds_within_sampling_error(chain):
@@ -465,9 +453,10 @@ def test_simulate_two_seeds_within_sampling_error(chain):
     trials = 100000
     a = simulate(m, steps=20, trials=trials, seed=42)
     b = simulate(m, steps=20, trials=trials, seed=43)
-    q = iterate(k, Distribution.point_mass(7, 0), 20).weights
+    q = np.linalg.matrix_power(k.matrix, 20)[0]
     se = 0.5 * sum(math.sqrt(2 * w * (1 - w) / trials) for w in q)
-    assert tv_distance(a.empirical, b.empirical) <= 3 * se
+    gap = a.quadrance_counts - b.quadrance_counts
+    assert 0.5 * np.abs(gap / trials).sum() <= 3 * se
 
 
 def test_simulate_plane_close_to_uniform(chain):
@@ -476,13 +465,3 @@ def test_simulate_plane_close_to_uniform(chain):
     freq = result.plane_counts.ravel() / result.trials
     assert 0.5 * np.abs(freq - 1 / 49).sum() <= 0.05
 
-
-def test_distribution_validation():
-    with pytest.raises(ValueError):
-        Distribution.exact_weights([Fraction(1, 2)])
-    with pytest.raises(ValueError):
-        Distribution.exact_weights([Fraction(3, 2), Fraction(-1, 2)])
-    with pytest.raises(ValueError):
-        Distribution.float_weights([0.5, 0.5 + 1e-9])
-    with pytest.raises(IndexError):
-        Distribution.point_mass(5, 5)
