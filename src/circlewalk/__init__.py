@@ -11,10 +11,8 @@ from .circles import (
     AxiomReport,
     StructureTensor,
     circle_points,
-    circle_size,
     quadrance,
     structure_constant_bruteforce,
-    triple_support,
     validate_axioms,
 )
 from .walk import (
@@ -25,7 +23,6 @@ from .walk import (
     NotMixed,
     StochasticKernel,
     WalkTrace,
-    ZeroGenerator,
     boost_epsilon,
     build_kernel,
     detailed_balance,
@@ -52,7 +49,6 @@ from .bounds import (
     coupling_bound,
     default_cycles,
     default_paths,
-    dirichlet_form,
     equilibrium_kernel,
     minorization_check,
     odd_cycle_bound,

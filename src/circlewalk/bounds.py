@@ -127,17 +127,6 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     )
 
 
-def dirichlet_form(kernel: StochasticKernel, f: np.ndarray) -> float:
-    """Energy of f under the kernel: half the pi-and-K weighted sum of
-    squared differences over all ordered pairs."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (kernel.p,):
-        raise ValueError(f"f must have shape ({kernel.p},)")
-    pi = stationary_array(kernel.p)
-    diff = f[:, None] - f[None, :]
-    return float(0.5 * (diff**2 * (pi[:, None] * kernel.matrix)).sum())
-
-
 def equilibrium_kernel(modulus: PrimeModulus) -> StochasticKernel:
     """The rank-one chain whose every row is the invariant law."""
     p = modulus.p
@@ -335,12 +324,6 @@ class OddCycleBound:
 
     v: float
     alpha_min_lower: float
-
-
-def cycle_length_by_chain(kernel: StochasticKernel, cycle: Sequence[int]) -> float:
-    """Sum of 1 / (pi(z) K(z, w)) over the traversed edges of a cycle."""
-    return _chain_length(kernel.matrix, stationary_array(kernel.p),
-                         zip(cycle, cycle[1:]))
 
 
 def _chain_length(k: np.ndarray, pi: np.ndarray, edges) -> float:

@@ -13,6 +13,7 @@ by exponentiation, checked by squaring).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,12 +61,6 @@ def circle_points(modulus: PrimeModulus, k: int) -> list[tuple[int, int]]:
     return pts
 
 
-def circle_size(modulus: PrimeModulus, k: int) -> int:
-    """|C_0| = 1 and |C_k| = p + 1 otherwise."""
-    _check_index(modulus.p, k)
-    return 1 if k == 0 else modulus.p + 1
-
-
 class StructureTensor:
     """Exact accessor for the product coefficients n_ij^k.
 
@@ -74,14 +69,25 @@ class StructureTensor:
     governed by the squareness of V = ij - (k-i-j)^2 / 4 in F_p:
     non-square gives 0, zero gives 1/(p+1), nonzero square gives 2/(p+1).
 
-    ``numerators(i)`` returns the (j, k) block of numerators over the
-    common denominator p + 1; the dense table of all blocks is built
-    lazily and only for p up to DENSE_TABLE_LIMIT.
+    The closed form is evaluated once, for the C_1 block N_1 (``n1``,
+    read-only), and every other block is gathered from it
+    (``numerators``); the dense table of all blocks is built lazily and
+    only for p up to DENSE_TABLE_LIMIT.
     """
 
     def __init__(self, modulus: PrimeModulus):
         self.modulus = modulus
         self._table: np.ndarray | None = None
+        p = modulus.p
+        j, k = np.ogrid[:p, :p]
+        v = (j - (k - 1 - j) ** 2 * modulus._inv4) % p
+        n1 = np.where(modulus.residue_table[v], 2, 0)
+        n1[v == 0] = 1
+        # j = 0 is the identity: n_10^k = [k == 1]
+        n1[0] = 0
+        n1[0, 1] = p + 1
+        n1.setflags(write=False)
+        self.n1 = n1
 
     @property
     def p(self) -> int:
@@ -95,22 +101,25 @@ class StructureTensor:
         """(p, p) int64 block of the numerators of n_ij^k over p + 1,
         indexed [j, k], identity rows included.
 
-        The only evaluation of the closed form: the table, the scalar
-        accessor, the walk kernel and the export all read these blocks.
+        For i != 0 this is N_1 relabelled, N_i[j, k] = N_1[j/i, k/i],
+        because the product is invariant under dilation: n_{ai,aj}^{ak} =
+        n_ij^k for every a != 0. Algebraically, V(ai, aj, ak) =
+        a^2 V(i, j, k) keeps the squareness class of V, and N_1[0, k/i] =
+        (p+1)[k == i] gives the identity rows. Geometrically, x^2 + y^2 is
+        the norm of x + y sqrt(-1) in F_{p^2}, and every a != 0 is a norm,
+        so multiplying by an element of norm a is an additive bijection of
+        the plane taking C_k onto C_{ak}: the circles are the orbit
+        hypergroup of the norm-one torus (Bloom and Heyer, *Harmonic
+        Analysis of Probability Measures on Hypergroups*, 1995). The
+        table, the scalar accessor and the export read these blocks.
         """
         p = self.p
+        i = operator.index(i)
         _check_index(p, i)
         if i == 0:
             return (p + 1) * np.eye(p, dtype=np.int64)
-        j = np.arange(p, dtype=np.int64).reshape(p, 1)
-        k = np.arange(p, dtype=np.int64).reshape(1, p)
-        v = (i * j - (k - i - j) ** 2 * self.modulus._inv4) % p
-        block = np.where(self.modulus.residue_table[v], 2, 0)
-        block[v == 0] = 1
-        # j = 0 is the identity: n_i0^k = [k == i]
-        block[0] = 0
-        block[0, i] = p + 1
-        return block
+        s = np.arange(p) * pow(i, -1, p) % p
+        return self.n1[np.ix_(s, s)]
 
     def scaled(self, i: int, j: int, k: int) -> int:
         """Numerator of n_ij^k over the common denominator p + 1.
@@ -162,23 +171,6 @@ def structure_constant_bruteforce(
     _check_index(modulus.p, k)
     counts = pair_quadrance_counts(modulus, i, j)
     return Fraction(int(counts[k]), int(counts.sum()))
-
-
-def triple_support(
-    tensor: StructureTensor, i: int, j: int, k: int, l: int
-) -> bool:
-    """Whether the triple product coefficient of c_l in c_i c_j c_k is positive.
-
-    The coefficient is sum_t n_ij^t * n_tk^l; positivity only needs one
-    nonzero term, checked in exact integers.
-    """
-    p = tensor.p
-    for idx in (i, j, k, l):
-        _check_index(p, idx)
-    # n_tk^l = n_kt^l, so column l of the k-block runs over t
-    return bool(
-        ((tensor.numerators(i)[j] > 0) & (tensor.numerators(k)[:, l] > 0)).any()
-    )
 
 
 @dataclass(frozen=True)

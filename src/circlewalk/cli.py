@@ -1,8 +1,7 @@
 """Command line front end: per-prime computations and the scaling scan.
 
 Exit codes: 0 success, 1 usage error, 2 invalid modulus, 3 not mixed:
-the TV stopped falling above eps, or ``max_steps`` ran out, 4 internal
-invariant violation.
+the TV stopped falling above eps, 4 internal invariant violation.
 """
 
 from __future__ import annotations

@@ -30,10 +30,6 @@ DEFAULT_EPSILON = 1 / (2 * math.e)
 TRIAL_BLOCK = 2**16  # trials whose steps ``simulate`` gathers at once
 
 
-class ZeroGenerator(ValueError):
-    """The walk generated by C_0 never moves."""
-
-
 class BadEpsilon(ValueError):
     """Total-variation threshold outside the usable range."""
 
@@ -44,8 +40,7 @@ class LengthMismatch(ValueError):
 
 
 class NotMixed(RuntimeError):
-    """Mixing threshold not reached: the TV stopped falling above it, or
-    ``max_steps`` ran out."""
+    """Mixing threshold not reached: the TV stopped falling above it."""
 
     def __init__(self, message: str, tv_curve: tuple[float, ...]):
         super().__init__(message)
@@ -99,14 +94,13 @@ class StochasticKernel:
         return f"StochasticKernel(p={self.p}, generator={self.generator})"
 
 
-def build_kernel(tensor: StructureTensor, m: int = 1) -> StochasticKernel:
-    """Kernel of the C_m walk: entry (i, j) is n_im^j = n_mi^j."""
-    p = tensor.p
-    if not 0 <= m < p:
-        raise IndexError(f"generator {m} out of range [0, {p})")
-    if m == 0:
-        raise ZeroGenerator("C_0 steps are stationary; the walk never mixes")
-    return StochasticKernel(tensor.numerators(m), p + 1, generator=m)
+def build_kernel(tensor: StructureTensor) -> StochasticKernel:
+    """Kernel of the C_1 walk: entry (i, j) is n_i1^j = n_1i^j, the
+    numerators ``tensor.n1`` over p + 1. The C_m walk, m != 0, is this
+    kernel relabelled by k -> k/m (its numerators are
+    ``tensor.numerators(m)``), so every generator has the same mixing
+    time, spectrum and bounds."""
+    return StochasticKernel(tensor.n1, tensor.p + 1, generator=1)
 
 
 def stationary_numerators(p: int) -> np.ndarray:
@@ -193,9 +187,7 @@ class MixingReport:
 
 
 def mixing_time(
-    kernel: StochasticKernel,
-    epsilon: float = DEFAULT_EPSILON,
-    max_steps: int | None = None,
+    kernel: StochasticKernel, epsilon: float = DEFAULT_EPSILON
 ) -> MixingReport:
     """First step at which every start is within ``epsilon`` of the
     invariant law in total variation: the worst-case mixing time.
@@ -215,15 +207,12 @@ def mixing_time(
     increases along a Markov chain (Levin, Peres and Wilmer, *Markov
     Chains and Mixing Times*, ch. 4), so a step that does not lower the
     float TV means it has hit float64's floor; ``NotMixed`` is raised
-    there, and also after ``max_steps`` steps when a cap is given. Either
-    way it carries the curve measured so far.
+    there, with the curve measured so far.
     """
     if kernel.generator is None:
         raise ValueError("mixing_time needs a walk kernel with a generator")
     if not 0 < epsilon <= 1:
         raise BadEpsilon(f"epsilon must be in (0, 1], got {epsilon}")
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
 
     p = kernel.p
     pi = stationary_array(p)
@@ -234,13 +223,9 @@ def mixing_time(
         curve.append(float(0.5 * np.abs(row - pi).sum()))
         if curve[-1] <= epsilon:
             return MixingReport(epsilon, t, tuple(curve))
-        stalled = t > 0 and curve[-1] >= curve[-2]
-        if stalled or t == max_steps:
-            why = "stopped falling at" if stalled else "still"
-            raise NotMixed(
-                f"worst TV {why} {curve[-1]:.3e} > {epsilon} after {t} steps",
-                tuple(curve),
-            )
+        if t > 0 and curve[-1] >= curve[-2]:
+            msg = f"worst TV stopped falling at {curve[-1]:.3e} > {epsilon}"
+            raise NotMixed(f"{msg} after {t} steps", tuple(curve))
         row = row @ kernel.matrix
 
 

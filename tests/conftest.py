@@ -2,7 +2,19 @@ import functools
 
 import pytest
 
-from circlewalk import StructureTensor, build_kernel, make_modulus, stationary
+from circlewalk import (
+    StochasticKernel,
+    StructureTensor,
+    build_kernel,
+    make_modulus,
+    stationary,
+)
+
+
+def walk_kernel(tensor, m):
+    """Kernel of the C_m walk, m != 0: the m-block of the tensor, which
+    is the C_1 kernel relabelled by k -> k/m."""
+    return StochasticKernel(tensor.numerators(m), tensor.p + 1, generator=m)
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from circlewalk.bounds import (
     spectrum,
 )
 from circlewalk.circles import (
-    circle_size,
+    circle_points,
     pair_quadrance_counts,
     structure_constant_bruteforce,
     validate_axioms,
@@ -72,7 +72,7 @@ def test_criterion_01_oracle_equivalence(chain):
         for i in range(p):
             for j in range(p):
                 counts = pair_quadrance_counts(m, i, j)
-                total = circle_size(m, i) * circle_size(m, j)
+                total = len(circle_points(m, i)) * len(circle_points(m, j))
                 # counts[k]/total == table[i,j,k]/(p+1), cross-multiplied
                 if not np.array_equal(counts * (p + 1), table[i, j] * total):
                     k = int(np.argmax(counts * (p + 1) != table[i, j] * total))

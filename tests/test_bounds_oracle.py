@@ -32,7 +32,8 @@ from circlewalk.bounds import (
 )
 from circlewalk.circles import StructureTensor
 from circlewalk.modular import make_modulus
-from circlewalk.walk import build_kernel, stationary, stationary_numerators
+from circlewalk.walk import stationary, stationary_numerators
+from conftest import walk_kernel
 
 PRIMES = [7, 11, 19, 23, 31, 43]
 
@@ -138,7 +139,7 @@ def cycles_loop(kernel):
 def walk(p, m):
     """(modulus, kernel of the walk generated by C_m, invariant law)."""
     modulus = make_modulus(p)
-    return modulus, build_kernel(StructureTensor(modulus), m), stationary(modulus)
+    return modulus, walk_kernel(StructureTensor(modulus), m), stationary(modulus)
 
 
 @pytest.mark.parametrize("p", PRIMES)

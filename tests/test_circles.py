@@ -6,15 +6,13 @@ import pytest
 from circlewalk.circles import (
     StructureTensor,
     circle_points,
-    circle_size,
     exact_dtype,
     pair_quadrance_counts,
     quadrance,
     structure_constant_bruteforce,
-    triple_support,
     validate_axioms,
 )
-from circlewalk.modular import make_modulus
+from circlewalk.modular import make_modulus, primes_3_mod_4
 
 
 def plane_circle(p, k):
@@ -42,7 +40,7 @@ def test_circle_points_match_plane_scan(p):
         assert pts == plane_circle(p, k)
         assert len(pts) == len(set(pts))
         assert all(quadrance(m, x, y) == k for x, y in pts)
-        assert len(pts) == circle_size(m, k) == (1 if k == 0 else p + 1)
+        assert len(pts) == (1 if k == 0 else p + 1)
 
 
 def tampered_modulus(p):
@@ -74,7 +72,7 @@ def test_oracle_ignores_a_tampered_square_table(p):
 @pytest.mark.parametrize("p", [7, 11, 19, 23])
 def test_circle_sizes_partition_plane(p):
     m = make_modulus(p)
-    assert sum(circle_size(m, k) for k in range(p)) == p * p
+    assert sum(len(circle_points(m, k)) for k in range(p)) == p * p
 
 
 def test_structure_constant_examples():
@@ -112,7 +110,7 @@ def test_oracle_equivalence_all_triples(p):
     for i in range(p):
         for j in range(p):
             counts = pair_quadrance_counts(m, i, j)
-            total = circle_size(m, i) * circle_size(m, j)
+            total = len(circle_points(m, i)) * len(circle_points(m, j))
             for k in range(p):
                 assert Fraction(int(counts[k]), total) == t.constant(i, j, k)
 
@@ -164,6 +162,51 @@ def test_reachable_circles_at_least_half(p):
         for j in range(1, p):
             reachable = sum(t.scaled(i, j, k) > 0 for k in range(p))
             assert reachable >= (p + 1) // 2
+
+
+def closed_form_block(modulus, i):
+    """Oracle: the (j, k) numerators of n_ij^k over p + 1 from the
+    closed form at a general i, with no dilation: the squareness of
+    V = ij - (k-i-j)^2 / 4, and the identity rows."""
+    p = modulus.p
+    if i == 0:
+        return (p + 1) * np.eye(p, dtype=np.int64)
+    j = np.arange(p).reshape(p, 1)
+    k = np.arange(p).reshape(1, p)
+    v = (i * j - (k - i - j) ** 2 * pow(4, -1, p)) % p
+    block = np.where(modulus.residue_table[v], 2, 0)
+    block[v == 0] = 1
+    block[0] = 0
+    block[0, i] = p + 1
+    return block
+
+
+def test_every_block_is_the_closed_form():
+    # each block is gathered from N_1 by the dilation k -> k/i; the closed
+    # form at that i must give the same integers
+    for p in primes_3_mod_4(7, 103):
+        m = make_modulus(p)
+        t = StructureTensor(m)
+        assert not t.n1.flags.writeable
+        for a in range(p):
+            assert np.array_equal(t.numerators(a), closed_form_block(m, a)), (
+                p, a)
+
+
+def test_numerators_takes_numpy_integers():
+    t = StructureTensor(make_modulus(11))
+    assert np.array_equal(t.numerators(np.int64(3)), t.numerators(3))
+    with pytest.raises(IndexError):
+        t.numerators(np.int64(11))
+
+
+def triple_support(tensor, i, j, k, l):
+    """Whether the triple product coefficient of c_l in c_i c_j c_k is
+    positive: sum_t n_ij^t * n_tk^l has a nonzero term, in integers."""
+    # n_tk^l = n_kt^l, so column l of the k-block runs over t
+    return bool(
+        ((tensor.numerators(i)[j] > 0) & (tensor.numerators(k)[:, l] > 0)).any()
+    )
 
 
 def test_triple_support_examples():

@@ -269,21 +269,6 @@ def test_eps_outside_the_open_unit_interval_is_a_usage_error(
     assert err.endswith(f"argument --eps: must be in (0, 1), got {eps}\n")
 
 
-def test_mix_not_mixed_exit_3(capsys, monkeypatch):
-    import circlewalk.cli as cli_mod
-    import circlewalk.walk as walk_mod
-
-    original = walk_mod.mixing_time
-
-    def tight_budget(kernel, epsilon):
-        return original(kernel, epsilon, max_steps=0)
-
-    monkeypatch.setattr(cli_mod.walk_mod, "mixing_time", tight_budget)
-    code, _, err = run(capsys, "mix", "--p", "7")
-    assert code == 3
-    assert "not mixed" in err
-
-
 def test_mix_below_the_tv_floor_exit_3(capsys):
     # no float TV reaches 1e-300: mix stops when the TV stops falling
     code, out, err = run(capsys, "mix", "--p", "103", "--eps", "1e-300")
