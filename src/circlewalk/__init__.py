@@ -18,7 +18,6 @@ from .circles import (
 from .walk import (
     DEFAULT_EPSILON,
     BadEpsilon,
-    LengthMismatch,
     MixingReport,
     NotMixed,
     StochasticKernel,
@@ -34,12 +33,7 @@ from .bounds import (
     BoundReport,
     ComparisonBound,
     CouplingBound,
-    EvenCycle,
-    InvalidCycleEdge,
-    InvalidPathEdge,
     MinorizationReport,
-    MissingCycle,
-    MissingPath,
     NoOddCycle,
     NotReversible,
     SpectrumReport,
@@ -49,10 +43,8 @@ from .bounds import (
     coupling_bound,
     default_cycles,
     default_paths,
-    equilibrium_kernel,
     minorization_check,
     odd_cycle_bound,
-    route_array,
     spectral_tv_bound,
     spectrum,
 )

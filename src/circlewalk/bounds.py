@@ -4,11 +4,14 @@ The kernel is reversible, so conjugating by the square root of the
 invariant law turns it into a symmetric matrix whose spectrum bounds the
 speed of convergence:
 
-* a path assignment between an auxiliary chain and the walk bounds the
-  second-largest eigenvalue through the congestion constant A
-  (``comparison_bound``);
-* a family of odd closed walks bounds the smallest eigenvalue away from
-  -1 through the constant v (``odd_cycle_bound``);
+* canonical paths between every pair of circles (``default_paths``),
+  compared against the equilibrium chain whose every row is the invariant
+  law, bound the second-largest eigenvalue through the congestion
+  constant A (``comparison_bound``; Diaconis and Stroock, "Geometric
+  bounds for eigenvalues of Markov chains", 1991);
+* an odd closed walk through every circle (``default_cycles``) bounds
+  the smallest eigenvalue away from -1 through the constant v
+  (``odd_cycle_bound``);
 * the spectral radius then converts into a per-step total-variation
   envelope (``spectral_tv_bound``);
 * independently, a four-step minorization of the kernel by the invariant
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,31 +47,8 @@ from .walk import (
     stationary_numerators,
 )
 
-CycleCollection = Mapping[int, Sequence[int]]
-
-
 class NotReversible(ValueError):
     """Kernel fails detailed balance for the invariant law."""
-
-
-class MissingPath(ValueError):
-    """A support pair of the auxiliary chain has no assigned path."""
-
-
-class MissingCycle(ValueError):
-    """A state of the chain has no assigned odd cycle."""
-
-
-class InvalidPathEdge(ValueError):
-    """A path step leaves the kernel support or repeats an edge."""
-
-
-class EvenCycle(ValueError):
-    """Cycle collections need an odd number of edges per cycle."""
-
-
-class InvalidCycleEdge(ValueError):
-    """A cycle step leaves the kernel support or repeats an edge."""
 
 
 class NoOddCycle(RuntimeError):
@@ -108,7 +88,7 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     computed here as sqrt(K(x,y) K(y,x)), which is symmetric in float64 by
     construction and equal to the conjugated kernel under reversibility.
     """
-    check = detailed_balance(kernel, stationary_numerators(kernel.p))
+    check = detailed_balance(kernel)
     if not check.ok:
         raise NotReversible(f"detailed balance fails at pair {check.witness}")
     k = kernel.matrix
@@ -127,132 +107,54 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     )
 
 
-def equilibrium_kernel(modulus: PrimeModulus) -> StochasticKernel:
-    """The rank-one chain whose every row is the invariant law."""
-    p = modulus.p
-    return StochasticKernel(np.tile(stationary_numerators(p), (p, 1)), p * p)
-
-
 def _support_pairs(kernel: StochasticKernel) -> np.ndarray:
     return kernel.scaled > 0
 
 
-def _walk_edges(
-    walk: Sequence[int], start: int, end: int, support: np.ndarray,
-    error: type[ValueError],
-) -> list[tuple[int, int]]:
-    """Edges of a path (start != end) or a cycle (start == end), after
-    checking its endpoints, that every step is a support edge, and that no
-    edge repeats; a violation raises ``error``."""
-    walk = list(walk)
-    if len(walk) < 2 or walk[0] != start or walk[-1] != end:
-        ends = (f"start and end at {start}" if start == end
-                else f"run from {start} to {end}")
-        raise error(f"{_walk_name(start, end)} must {ends}")
-    edges = list(zip(walk, walk[1:]))
-    seen = set()
-    for z, w in edges:
-        if not support[z, w]:
-            raise error(f"{_walk_name(start, end)} uses non-edge ({z}, {w})")
-        if (z, w) in seen:
-            raise error(f"{_walk_name(start, end)} repeats edge ({z}, {w})")
-        seen.add((z, w))
-    return edges
-
-
-def _walk_name(start: int, end: int) -> str:
-    return f"cycle for {start}" if start == end else f"path for {(start, end)}"
-
-
 @dataclass(frozen=True)
 class ComparisonBound:
-    """Congestion constant A of a two-chain comparison.
+    """Congestion constant A of the canonical paths against the
+    equilibrium chain, and the bound lambda_1 <= 1 - 1/A.
 
-    Both chains share the invariant law, so for eigenvalues it yields
-    alpha_i <= 1 - (1 - alpha'_i) / A, where the primed values belong to
-    the auxiliary chain.
+    The equilibrium chain shares the invariant law, and its nontrivial
+    eigenvalues are all 0, so comparing Dirichlet forms gives
+    lambda_1 <= 1 - (1 - 0) / A for the walk.
     """
 
     A: float
-
-    def alpha_upper(self, alpha_prime: float = 0.0) -> float:
-        return 1.0 - (1.0 - alpha_prime) / self.A
+    alpha1_upper: float
 
 
-def comparison_bound(
-    kernel: StochasticKernel, other_kernel: StochasticKernel, routes: np.ndarray
-) -> ComparisonBound:
+def comparison_bound(kernel: StochasticKernel) -> ComparisonBound:
     """Evaluate the path-congestion constant
 
         A = max over edges (z, w) of
-            sum over assigned paths through (z, w) of
-                |path| pi(x) K'(x, y),  divided by pi(z) K(z, w),
+            sum over the paths of ``default_paths`` through (z, w) of
+                |path| pi(x) pi(y),  divided by pi(z) K(z, w),
 
-    where pi is the invariant law of both chains and each off-diagonal
-    support pair (x, y) of the auxiliary chain must carry a path along
-    support edges of the base chain.
-
-    ``routes[x, y]`` is the node sequence of the path from x to y, padded
-    with -1 (see ``default_paths`` and ``route_array``). The first support
-    pair in row-major order whose path is missing, has the wrong
-    endpoints, steps off the support or repeats an edge is reported.
+    where pi is the invariant law and (x, y) runs over the ordered pairs
+    x != y, each loaded as the equilibrium chain, pi(x) K'(x, y) =
+    pi(x) pi(y). The canonical paths step along support edges and repeat
+    none by construction, so they are not checked again here.
     """
     p = kernel.p
-    if other_kernel.p != p:
-        raise ValueError("chains must share one state space")
-    routes = np.asarray(routes)
-    if (routes.ndim != 3 or routes.shape[:2] != (p, p) or routes.shape[2] < 2
-            or not np.issubdtype(routes.dtype, np.integer)):
-        raise ValueError(f"routes must be an integer array of shape ({p}, {p}, L >= 2)")
-    support = _support_pairs(kernel)
+    routes = default_paths(kernel).reshape(p * p, -1)
+    steps = routes[:, 1:] >= 0
     pi = stationary_array(p)
-    other_k = other_kernel.matrix
-
-    # the auxiliary chain's off-diagonal support pairs, row-major
-    flat = np.flatnonzero((other_k != 0.0) & ~np.eye(p, dtype=bool))
-    xs, ys = np.divmod(flat, p)
-    walks = routes.reshape(p * p, -1)[flat].astype(np.int64, copy=False)
-    if ((walks < -1) | (walks >= p)).any():
-        raise ValueError(f"route entries must lie in [-1, {p})")
-    nodes = walks >= 0
-    steps = nodes[:, 1:]
-    if (steps & ~nodes[:, :-1]).any():
-        raise ValueError("route padding (-1) must come after every node")
-    edge = np.where(steps, walks[:, :-1] * p + walks[:, 1:], -1)
-    width = steps.shape[1]
-    # each step against every earlier one: a few column compares, cheaper
-    # than sorting every row (padding steps are masked out below)
-    repeated = np.zeros_like(steps)
-    for j in range(1, width):
-        for i in range(j):
-            repeated[:, j] |= edge[:, i] == edge[:, j]
-    ends = nodes.copy()
-    ends[:, :-1] &= ~steps
-    # bad[n, j] flags a fault found at node j of pair n's walk, so the
-    # first flag in row-major order belongs to the first bad pair
-    bad = ends & (walks != ys[:, None])
-    bad[:, 0] |= walks[:, 0] != xs
-    bad[:, 1] |= ~nodes[:, 1]
-    bad[:, 1:] |= steps & (~support.ravel()[edge] | repeated)
-    if bad.any():
-        n = int(bad.argmax()) // walks.shape[1]
-        x, y = int(xs[n]), int(ys[n])
-        if walks[n, 0] == -1:
-            raise MissingPath(f"no path for support pair ({x}, {y})")
-        _walk_edges(walks[n][nodes[n]].tolist(), x, y, support, InvalidPathEdge)
-
+    # |path| pi(x) pi(y), multiplied left to right; the diagonal loads 0
+    load = steps.sum(axis=1).reshape(p, p) * pi[:, None] * pi
     # bin 0 takes the padding; the rest are fed pair-major, edge-minor, as
     # a loop over the pairs adds them, and bincount adds in input order,
     # so each edge's float sum is that loop's
-    load = steps.sum(axis=1) * pi[xs] * other_k[xs, ys]
     congestion = np.bincount(
-        (edge + 1).ravel(), weights=np.where(steps, load[:, None], 0.0).ravel(),
+        np.where(steps, routes[:, :-1] * p + routes[:, 1:] + 1, 0).ravel(),
+        weights=np.repeat(load.ravel(), steps.shape[1]),
         minlength=p * p + 1)[1:]
-    # an edge no load reached adds nothing to a max that starts at 0
+    # an edge no path uses adds nothing to the max
     used = np.flatnonzero(congestion > 0)
     z, w = np.divmod(used, p)
-    ratios = congestion[used] / (pi[z] * kernel.matrix[z, w])
-    return ComparisonBound(A=float(ratios.max()) if used.size else 0.0)
+    a = float((congestion[used] / (pi[z] * kernel.matrix[z, w])).max())
+    return ComparisonBound(A=a, alpha1_upper=1.0 - 1.0 / a)
 
 
 def default_paths(kernel: StochasticKernel) -> np.ndarray:
@@ -305,19 +207,6 @@ def default_paths(kernel: StochasticKernel) -> np.ndarray:
     return routes
 
 
-def route_array(paths: Mapping[tuple[int, int], Sequence[int]], p: int) -> np.ndarray:
-    """The ``routes`` array of a mapping from pairs (x, y) to node
-    sequences, as wide as the longest route; absent pairs (and empty
-    routes) read as missing."""
-    width = max([2, *map(len, paths.values())])
-    routes = np.full((p, p, width), -1, dtype=np.int64)
-    for (x, y), path in paths.items():
-        if not (0 <= x < p and 0 <= y < p and all(0 <= z < p for z in path)):
-            raise ValueError(f"path for {(x, y)} leaves the states [0, {p})")
-        routes[x, y, :len(path)] = path
-    return routes
-
-
 @dataclass(frozen=True)
 class OddCycleBound:
     """Odd-cycle congestion constant v and the bound lambda_min >= -1 + 2/v."""
@@ -326,30 +215,21 @@ class OddCycleBound:
     alpha_min_lower: float
 
 
-def _chain_length(k: np.ndarray, pi: np.ndarray, edges) -> float:
-    return float(sum(1.0 / (pi[z] * k[z, w]) for z, w in edges))
-
-
-def odd_cycle_bound(kernel: StochasticKernel, cycles: CycleCollection) -> OddCycleBound:
+def odd_cycle_bound(kernel: StochasticKernel) -> OddCycleBound:
     """Evaluate v = max over edges of the summed pi(x)-weighted chain
-    lengths of the cycles traversing that edge, and the induced lower
-    bound on the smallest eigenvalue.
+    lengths of the cycles of ``default_cycles`` traversing that edge, and
+    the induced lower bound on the smallest eigenvalue.
 
-    Every state must own one odd closed walk through itself along support
-    edges, with no edge traversed twice within one walk.
+    The chain length of a cycle is the sum of 1 / (pi(z) K(z, w)) over its
+    edges. Each cycle is odd, steps along support edges and repeats no
+    edge by construction, so the cycles are not checked again here.
     """
-    p = kernel.p
-    support = _support_pairs(kernel)
-    pi = stationary_array(p)
-
+    k = kernel.matrix
+    pi = stationary_array(kernel.p)
     congestion: dict[tuple[int, int], float] = {}
-    for x in range(p):
-        if x not in cycles:
-            raise MissingCycle(f"no cycle for state {x}")
-        edges = _walk_edges(cycles[x], x, x, support, InvalidCycleEdge)
-        if len(edges) % 2 == 0:
-            raise EvenCycle(f"cycle for {x} has {len(edges)} edges")
-        weight = _chain_length(kernel.matrix, pi, edges) * pi[x]
+    for x, cycle in default_cycles(kernel).items():
+        edges = list(zip(cycle, cycle[1:]))
+        weight = float(sum(1.0 / (pi[z] * k[z, w]) for z, w in edges)) * pi[x]
         for e in edges:
             congestion[e] = congestion.get(e, 0.0) + weight
 
@@ -578,8 +458,8 @@ def bound_report(
     kernel = build_kernel(StructureTensor(modulus))
     mixing = mixing_time(kernel, epsilon)
     spectral = spectrum(kernel)
-    comp = comparison_bound(kernel, equilibrium_kernel(modulus), default_paths(kernel))
-    cyc = odd_cycle_bound(kernel, default_cycles(kernel))
+    comp = comparison_bound(kernel)
+    cyc = odd_cycle_bound(kernel)
     closed = closed_form_bounds(modulus)
     coup = coupling_bound(modulus, epsilon)
     return BoundReport(

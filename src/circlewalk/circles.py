@@ -80,7 +80,7 @@ class StructureTensor:
         self._table: np.ndarray | None = None
         p = modulus.p
         j, k = np.ogrid[:p, :p]
-        v = (j - (k - 1 - j) ** 2 * modulus._inv4) % p
+        v = (j - (k - 1 - j) ** 2 * pow(4, -1, p)) % p
         n1 = np.where(modulus.residue_table[v], 2, 0)
         n1[v == 0] = 1
         # j = 0 is the identity: n_10^k = [k == 1]

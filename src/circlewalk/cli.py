@@ -7,6 +7,7 @@ the TV stopped falling above eps, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -46,20 +47,46 @@ def fmt(x) -> str:
 
 
 class _OutputError(Exception):
-    """The --output file cannot be opened for writing."""
+    """The output cannot be opened, written, flushed or closed."""
+
+
+@contextlib.contextmanager
+def _output_errors():
+    """Raise an OSError of the output as ``_OutputError``. A broken pipe
+    first points stdout's fd at os.devnull, so the flush at interpreter
+    exit cannot fail on it again."""
+    try:
+        yield
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise _OutputError(f"cannot write output: {exc}") from exc
 
 
 def _emit(chunks, output: str | None) -> None:
-    """Write text chunks, in order, to stdout or to the file ``output``."""
-    if output is None or output == "-":
-        sys.stdout.writelines(chunks)
-        return
+    """Write text chunks, in order, to stdout or to the file ``output``.
+
+    Only the opening, the writes and the final flush or close are
+    wrapped by ``_output_errors``, not the making of each chunk. Stdout
+    is flushed here, so a full device or a closed pipe is reported now,
+    not at interpreter exit.
+    """
+    to_stdout = output is None or output == "-"
+    with _output_errors():
+        fh = sys.stdout if to_stdout else open(
+            output, "w", encoding="utf-8", newline="")
     try:
-        fh = open(output, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise _OutputError(f"cannot write output: {exc}") from exc
-    with fh:
-        fh.writelines(chunks)
+        for chunk in chunks:
+            with _output_errors():
+                fh.write(chunk)
+    finally:
+        with _output_errors():
+            if to_stdout:
+                fh.flush()
+            else:
+                fh.close()
 
 
 def _csv_text(header: list[str], rows) -> str:

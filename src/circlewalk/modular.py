@@ -35,7 +35,7 @@ class PrimeModulus:
     oracle does not. Instances are immutable.
     """
 
-    __slots__ = ("p", "residue_table", "_inv4")
+    __slots__ = ("p", "residue_table")
 
     def __init__(self, n: int):
         if n < 3 or not _is_prime(n):
@@ -50,19 +50,12 @@ class PrimeModulus:
         assert not table[n - 1]  # -1 is a non-square when p = 3 (mod 4)
         object.__setattr__(self, "p", n)
         object.__setattr__(self, "residue_table", table)
-        object.__setattr__(self, "_inv4", pow(4, -1, n))
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeModulus is immutable")
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeModulus) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeModulus", self.p))
 
 
 def make_modulus(n: int) -> PrimeModulus:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,11 +31,6 @@ TRIAL_BLOCK = 2**16  # trials whose steps ``simulate`` gathers at once
 
 class BadEpsilon(ValueError):
     """Total-variation threshold outside the usable range."""
-
-
-class LengthMismatch(ValueError):
-    """Weights whose count differs from the kernel's state count, as
-    ``detailed_balance`` refuses them."""
 
 
 class NotMixed(RuntimeError):
@@ -134,25 +128,18 @@ class BalanceCheck:
         return self.ok
 
 
-def detailed_balance(kernel: StochasticKernel, weights) -> BalanceCheck:
-    """Exact check of pi(x) K(x, y) == pi(y) K(y, x) for all pairs.
+def detailed_balance(kernel: StochasticKernel) -> BalanceCheck:
+    """Exact check of pi(x) K(x, y) == pi(y) K(y, x) for all pairs, with
+    pi the invariant law of the kernel's state count.
 
-    ``weights`` are the numerators of pi over any common denominator,
-    nonnegative integers; the denominator cancels from the equation. This
-    compares the integer fluxes num(x) * scaled(x, y) with their
+    This compares the integer fluxes num(x) * scaled(x, y), num =
+    ``stationary_numerators(p)`` (the denominator p^2 cancels), with their
     transpose, in the dtype ``exact_dtype`` allows; the witness is the
     first violating (x, y) with x < y in row-major order.
     """
-    try:
-        num = [operator.index(w) for w in weights]
-    except TypeError:
-        raise ValueError("weights must be integers") from None
-    if len(num) != kernel.p:
-        raise LengthMismatch(f"{len(num)} weights vs {kernel.p} states")
-    if any(w < 0 for w in num):
-        raise ValueError("negative weight")
-    dtype = exact_dtype(max(num) * int(kernel.scaled.max()))
-    flux = np.array(num, dtype=dtype)[:, None] * kernel.scaled.astype(dtype)
+    num = stationary_numerators(kernel.p)
+    dtype = exact_dtype(int(num.max()) * int(kernel.scaled.max()))
+    flux = num.astype(dtype)[:, None] * kernel.scaled.astype(dtype)
     # symmetric with a false diagonal: the first hit in row-major order
     # has x < y
     bad = np.argwhere(flux != flux.T)

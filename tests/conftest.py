@@ -1,5 +1,6 @@
 import functools
 
+import numpy as np
 import pytest
 
 from circlewalk import (
@@ -9,12 +10,18 @@ from circlewalk import (
     make_modulus,
     stationary,
 )
+from circlewalk.walk import stationary_numerators
 
 
 def walk_kernel(tensor, m):
     """Kernel of the C_m walk, m != 0: the m-block of the tensor, which
     is the C_1 kernel relabelled by k -> k/m."""
     return StochasticKernel(tensor.numerators(m), tensor.p + 1, generator=m)
+
+
+def equilibrium_kernel(p):
+    """The rank-one chain on p states whose every row is the invariant law."""
+    return StochasticKernel(np.tile(stationary_numerators(p), (p, 1)), p * p)
 
 
 @functools.lru_cache(maxsize=None)

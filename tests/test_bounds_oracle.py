@@ -3,9 +3,10 @@
 ``default_paths``, ``comparison_bound`` and ``default_cycles`` work on
 whole arrays. The loops they replaced are kept here as oracles: the routes
 and cycles must be equal, the congestion constant A must be the same float
-(both add each edge's loads in the same order), and A must lie within
-1e-12 relative of the exact rational congestion. Broken routes must raise
-the loop's exception with the loop's message.
+(both add each edge's loads in the same order), and A and v must lie
+within 1e-12 relative of the exact rational congestions. The bounds do not
+check the walks they build, so the walk validator below checks every
+canonical path and cycle, for every generator.
 """
 
 import functools
@@ -17,25 +18,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlewalk.bounds import (
-    InvalidPathEdge,
-    MissingPath,
     NoOddCycle,
     PathConstructionFailed,
-    _walk_edges,
     comparison_bound,
     default_cycles,
     default_paths,
-    equilibrium_kernel,
     odd_cycle_bound,
-    route_array,
     spectrum,
 )
 from circlewalk.circles import StructureTensor
 from circlewalk.modular import make_modulus
 from circlewalk.walk import stationary, stationary_numerators
-from conftest import walk_kernel
+from conftest import equilibrium_kernel, walk_kernel
 
 PRIMES = [7, 11, 19, 23, 31, 43]
+
+
+class BrokenWalk(AssertionError):
+    """A path or cycle that the path and cycle bounds cannot use."""
+
+
+def walk_edges(nodes, start, end, support):
+    """Edges of a path (start != end) or a cycle (start == end), after
+    checking its endpoints, that every step is a support edge, that no
+    edge repeats, and that a cycle has an odd number of edges."""
+    name = f"cycle for {start}" if start == end else f"path for {(start, end)}"
+    nodes = list(nodes)
+    if len(nodes) < 2 or nodes[0] != start or nodes[-1] != end:
+        raise BrokenWalk(f"{name} does not run from {start} to {end}")
+    edges = list(zip(nodes, nodes[1:]))
+    for z, w in edges:
+        if not support[z, w]:
+            raise BrokenWalk(f"{name} uses non-edge ({z}, {w})")
+    if len(set(edges)) < len(edges):
+        raise BrokenWalk(f"{name} repeats an edge")
+    if start == end and len(edges) % 2 == 0:
+        raise BrokenWalk(f"{name} has {len(edges)} edges")
+    return edges
+
+
+def route_array(paths, p):
+    """The (p, p, 4) ``routes`` array of a mapping from pairs to paths."""
+    routes = np.full((p, p, 4), -1, dtype=np.int64)
+    for (x, y), path in paths.items():
+        routes[x, y, :len(path)] = path
+    return routes
 
 
 def paths_loop(kernel):
@@ -65,23 +92,20 @@ def paths_loop(kernel):
     return paths
 
 
-def comparison_loop(kernel, dist, other_kernel, other_dist, paths):
-    """A by one float sum per edge, pairs row-major and edges in path order."""
+def comparison_loop(kernel, dist, paths):
+    """A against the equilibrium chain by one float sum per edge, pairs
+    row-major and edges in path order."""
     p = kernel.p
-    support = kernel.scaled > 0
     pi = np.array(dist, dtype=float)
-    other_pi = np.array(other_dist, dtype=float)
-    other_k = other_kernel.matrix
+    other_k = equilibrium_kernel(p).matrix
     congestion = {}
     for x in range(p):
         for y in range(p):
-            if x == y or other_k[x, y] == 0.0:
+            if x == y:
                 continue
-            path = paths.get((x, y))
-            if path is None:
-                raise MissingPath(f"no path for support pair ({x}, {y})")
-            edges = _walk_edges(path, x, y, support, InvalidPathEdge)
-            load = len(edges) * other_pi[x] * other_k[x, y]
+            path = paths[(x, y)]
+            edges = list(zip(path, path[1:]))
+            load = len(edges) * pi[x] * other_k[x, y]
             for e in edges:
                 congestion[e] = congestion.get(e, 0.0) + load
     best = 0.0
@@ -135,6 +159,20 @@ def cycles_loop(kernel):
     return cycles
 
 
+def exact_cycle_congestion(kernel, cycles):
+    """v in rationals: each cycle through x adds pi(x) times the sum of
+    1 / (pi(z) K(z, w)) over its edges to each of its edges."""
+    p = kernel.p
+    pi = [Fraction(int(n), p * p) for n in stationary_numerators(p)]
+    totals = {}
+    for x, cycle in cycles.items():
+        edges = list(zip(cycle, cycle[1:]))
+        weight = pi[x] * sum(1 / (pi[z] * kernel.exact(z, w)) for z, w in edges)
+        for e in edges:
+            totals[e] = totals.get(e, 0) + weight
+    return max(totals.values())
+
+
 @functools.lru_cache(maxsize=None)
 def walk(p, m):
     """(modulus, kernel of the walk generated by C_m, invariant law)."""
@@ -145,63 +183,66 @@ def walk(p, m):
 @pytest.mark.parametrize("p", PRIMES)
 def test_arrays_match_the_loops_for_every_generator(p):
     for m in range(1, p):
-        modulus, kernel, pi = walk(p, m)
-        eq = equilibrium_kernel(modulus)
+        _, kernel, pi = walk(p, m)
         paths = paths_loop(kernel)
         routes = default_paths(kernel)
         assert routes.shape == (p, p, 4) and routes.dtype == np.int64
         assert np.array_equal(routes, route_array(paths, p))
-        comp = comparison_bound(kernel, eq, routes)
-        assert comp.A == comparison_loop(kernel, pi, eq, pi, paths)
+        comp = comparison_bound(kernel)
+        assert comp.A == comparison_loop(kernel, pi, paths)
+        assert comp.alpha1_upper == 1.0 - 1.0 / comp.A
         exact = exact_congestion(kernel, paths)
         assert abs(Fraction(comp.A) - exact) <= Fraction(1, 10**12) * exact
         cycles = default_cycles(kernel)
         assert cycles == cycles_loop(kernel)
+        cyc = odd_cycle_bound(kernel)
+        exact = exact_cycle_congestion(kernel, cycles)
+        assert abs(Fraction(cyc.v) - exact) <= Fraction(1, 10**12) * exact
+        assert cyc.alpha_min_lower == -1.0 + 2.0 / cyc.v
         # the bounds hold for the walk generated by C_m, not only C_1
         spectral = spectrum(kernel)
-        assert spectral.lambda1 <= comp.alpha_upper(0.0) + 1e-9
-        cyc = odd_cycle_bound(kernel, cycles)
+        assert spectral.lambda1 <= comp.alpha1_upper + 1e-9
         assert spectral.lambda_min >= cyc.alpha_min_lower - 1e-9
 
 
-def outcome(fn, *args):
-    try:
-        return "ok", fn(*args)
-    except (MissingPath, InvalidPathEdge) as exc:
-        return type(exc), str(exc)
-
-
-BREAKS = ["delete", "off_support", "repeat_edge", "wrong_endpoints"]
+@pytest.mark.parametrize("p", PRIMES)
+def test_canonical_paths_and_cycles_are_walks_for_every_generator(p):
+    for m in range(1, p):
+        _, kernel, _ = walk(p, m)
+        support = kernel.scaled > 0
+        routes = default_paths(kernel)
+        for x in range(p):
+            assert (routes[x, x] == -1).all()
+            for y in range(p):
+                if x != y:
+                    path = routes[x, y]
+                    walk_edges(path[path >= 0].tolist(), x, y, support)
+        cycles = default_cycles(kernel)
+        assert list(cycles) == list(range(p))
+        for x, cycle in cycles.items():
+            walk_edges(cycle, x, x, support)
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_broken_routes_raise_what_the_loop_raises(data):
+def test_the_walk_validator_rejects_broken_walks(data):
+    # the check above is only as strong as the validator: each break of a
+    # canonical path or cycle must be caught
     p = data.draw(st.sampled_from(PRIMES[:4]))
-    m = data.draw(st.integers(1, p - 1))
-    modulus, kernel, pi = walk(p, m)
+    _, kernel, _ = walk(p, data.draw(st.integers(1, p - 1)))
     support = kernel.scaled > 0
-    paths = paths_loop(kernel)
-    # one or two pairs, so the first in row-major order must be reported
-    pairs = data.draw(st.lists(st.sampled_from(sorted(paths)), min_size=1,
-                               max_size=2, unique=True))
-    for x, y in pairs:
-        route = paths[(x, y)]
-        kind = data.draw(st.sampled_from(BREAKS))
-        if kind == "delete":
-            del paths[(x, y)]
-        elif kind == "off_support":
-            w = data.draw(st.sampled_from(np.flatnonzero(~support[x]).tolist()))
-            paths[(x, y)] = (x, w, y)
-        elif kind == "repeat_edge":
-            # the support is symmetric, so (route[1], x) is an edge
-            paths[(x, y)] = (x, route[1], x) + route[1:]
-        else:
-            wrong = [route[::-1], (x,), route + (x,)]  # start, length, end
-            paths[(x, y)] = data.draw(st.sampled_from(wrong))
-    eq = equilibrium_kernel(modulus)
-    expected = outcome(comparison_loop, kernel, pi, eq, pi, paths)
-    assert expected[0] != "ok"
-    got = outcome(lambda *a: comparison_bound(*a).A,
-                  kernel, eq, route_array(paths, p))
-    assert got == expected
+    x, y = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    good = default_cycles(kernel)[x] if x == y else paths_loop(kernel)[(x, y)]
+    a = int(np.flatnonzero(support[x] & (np.arange(p) != x))[0])
+    off = np.flatnonzero(~support[x]).tolist()
+    broken = data.draw(st.sampled_from([
+        (x, data.draw(st.sampled_from(off)), y),  # off the support
+        # the support is symmetric, so (good[1], x) is an edge
+        (x, good[1], x) + good[1:],  # repeats (x, good[1])
+        good + ((y + 1) % p,),  # wrong end
+        ((x + 1) % p,) + good,  # wrong start
+        (x,),  # too short
+        *([(x, a, x)] if x == y else []),  # an even cycle
+    ]))
+    with pytest.raises(BrokenWalk):
+        walk_edges(broken, x, y, support)

@@ -3,7 +3,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,13 @@ from circlewalk.bounds import bound_report
 from circlewalk.cli import _scan_row, main
 from circlewalk.modular import make_modulus, primes_3_mod_4
 from circlewalk.walk import DEFAULT_EPSILON
+
+
+# the command line in a child process, importing this checkout's package
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI = [sys.executable, "-m", "circlewalk.cli"]
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -196,6 +207,32 @@ def test_unwritable_output_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "constants", "--p", "7", "--output", str(target))
     assert (code, out) == (1, "")
     assert err.startswith("cannot write output: ") and str(target) in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_exit_1(capsys):
+    code, out, err = run(capsys, "constants", "--p", "7", "--output", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err == "cannot write output: [Errno 28] No space left on device\n"
+    # stdout on the full device, which only the final flush reports
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(CLI + ["stationary", "--p", "7"], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=CLI_ENV,
+                              timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_closed_stdout_pipe_exit_1():
+    # the reader takes one line and leaves, as `| head -1` does; the export
+    # is megabytes, so the writer is still writing when the pipe closes
+    with subprocess.Popen(CLI + ["constants", "--p", "103"], env=CLI_ENV,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"i,j,k,numerator,denominator\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert err == "cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_usage_error_exit_1(capsys):

@@ -1,8 +1,8 @@
 """Pinned sha256 digests of the CLI's stdout.
 
-Every subcommand at p = 7 in both formats, the tensor export at p = 103
-in both formats, a seeded ``simulate`` and a small serial ``scan``: any
-byte that changes in a table fails here. The
+Every subcommand at p = 7 in both formats, the tensor export and the
+bounds at p = 103 in both formats, a seeded ``simulate`` and a small
+serial ``scan``: any byte that changes in a table fails here. The
 floats come from numpy's ``eigh`` and matrix products, so a different
 BLAS may change the last digits of the spectrum and bounds rows.
 """
@@ -46,6 +46,11 @@ GOLDEN = {
         "5f236ca54d04fb47ae8c3ba0052c9d9ebe0d7a7c53311c624eb9f5c5b7a8c811",
     ("bounds", "--p", "7", "--format", "json"):
         "d1cca6df60b8d4c881e9407f08350bb7dc49ba2c49b2e144f95a56e53524f214",
+    # the path and cycle bounds past the p = 7 hand scale
+    ("bounds", "--p", "103", "--format", "csv"):
+        "0b8e9ebf47c10fe905b4eae827cc50a82fcffbd3612aad5a87e4fb3642094911",
+    ("bounds", "--p", "103", "--format", "json"):
+        "cbed1875c447a18fa9f32a8eef4eb312120395855bb482b271ed4828db22449e",
     (*SIMULATE, "--format", "csv"):
         "eaca2e65508f6e063da4171b23c38c4d5badf907f24bfffdab9d2a7696d7b19d",
     (*SIMULATE, "--format", "json"):

@@ -15,8 +15,8 @@ CLAIMS = {
     "mixing_time(kernel).tau": "4",
     "coupling_bound(m).tau_bound": "92",
     "spectrum(kernel).alpha_star": "0.5617...",
-    "comparison_bound(kernel, equilibrium_kernel(m), routes).A": "11.4285...",
-    "odd_cycle_bound(kernel, cycles).v": "32.0",
+    "comparison_bound(kernel).A": "11.4285...",
+    "odd_cycle_bound(kernel).v": "32.0",
 }
 
 

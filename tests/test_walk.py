@@ -20,9 +20,9 @@ from circlewalk.walk import (
     DEFAULT_EPSILON,
     TRIAL_BLOCK,
     BadEpsilon,
-    LengthMismatch,
     MixingReport,
     NotMixed,
+    StochasticKernel,
     boost_epsilon,
     build_kernel,
     detailed_balance,
@@ -32,7 +32,7 @@ from circlewalk.walk import (
     stationary_array,
     stationary_numerators,
 )
-from conftest import walk_kernel
+from conftest import equilibrium_kernel, walk_kernel
 
 
 def test_kernel_examples(chain):
@@ -88,14 +88,16 @@ def test_stationary_invariant_for_every_generator(p, chain):
 
 def test_detailed_balance_examples(chain):
     _, _, k, _ = chain(7)
-    law = stationary_numerators(7)
-    assert detailed_balance(k, law).ok
-    # the denominator cancels, so any multiple of the law balances
-    assert detailed_balance(k, (3 * law).tolist()).ok
-    res = detailed_balance(k, [1] * 7)  # uniform
+    assert detailed_balance(k).ok
+    # a rotation of the circles: K(x, x + 1) = 1 but K(x + 1, x) = 0
+    rotation = np.roll(np.eye(7, dtype=np.int64), 1, axis=1)
+    assert detailed_balance(StochasticKernel(rotation, 1)).witness == (0, 1)
+    # symmetric, so balanced for the uniform law but not for the invariant
+    # law, whose null circle is lighter than the others
+    symmetric = StochasticKernel(np.eye(7, dtype=np.int64) + rotation + rotation.T, 3)
+    res = detailed_balance(symmetric)
     assert not res.ok
     assert 0 in res.witness  # violation involves the null-circle row
-    assert not detailed_balance(k, [1, 0, 0, 0, 0, 0, 0]).ok  # point mass
 
 
 def balance_witness_by_loop(kernel, w):
@@ -112,31 +114,22 @@ def balance_witness_by_loop(kernel, w):
 @given(p=st.sampled_from([7, 11]), data=st.data())
 def test_detailed_balance_witness_matches_the_fraction_loop(chain, p, data):
     _, tensor, _, _ = chain(p)
-    k = walk_kernel(tensor, data.draw(st.integers(1, p - 1)))
-    # a multiple of the invariant law nudged by -1, 0 or 1 at a few
-    # circles; the scales put the fluxes in each exact_dtype tier, where
-    # they differ only in their last units. Each circle is nudged at most
-    # once, so no weight goes negative (the smallest, circle 0's, is scale)
-    scale = data.draw(st.sampled_from([1, 3, 2**21 + 1, 2**50 + 1, 10**20 + 7]))
-    weights = [scale * n for n in stationary_numerators(p).tolist()]
-    for x in data.draw(st.lists(st.integers(0, p - 1), max_size=3, unique=True)):
-        weights[x] += data.draw(st.integers(-1, 1))
-    check = detailed_balance(k, weights)
-    assert check.witness == balance_witness_by_loop(k, weights)
+    g = data.draw(st.integers(1, p - 1))
+    # a walk kernel's numerators times a scale, with up to three units each
+    # moved within a row; the scales put the fluxes in each exact_dtype
+    # tier, where they differ only in their last units
+    scale = data.draw(st.sampled_from([1, 3, 2**21 + 1, 2**50 + 1, 2**57 + 1]))
+    scaled = tensor.numerators(g) * scale
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = data.draw(st.integers(0, p - 1))
+        source = data.draw(st.sampled_from(np.flatnonzero(scaled[x]).tolist()))
+        scaled[x, source] -= 1
+        scaled[x, data.draw(st.integers(0, p - 1))] += 1
+    k = StochasticKernel(scaled, scale * (p + 1), generator=g)
+    check = detailed_balance(k)
+    law = stationary_numerators(p).tolist()
+    assert check.witness == balance_witness_by_loop(k, law)
     assert check.ok == (check.witness is None)
-
-
-def test_detailed_balance_requires_exact(chain):
-    # the weights are integer numerators: floats, Fractions, negatives and
-    # a wrong length are refused
-    _, _, k, _ = chain(7)
-    for inexact in ([1 / 7] * 7, [Fraction(1, 7)] * 7, np.full(7, 8.0)):
-        with pytest.raises(ValueError, match="^weights must be integers$"):
-            detailed_balance(k, inexact)
-    with pytest.raises(ValueError, match="^negative weight$"):
-        detailed_balance(k, [-1] + [8] * 6)
-    with pytest.raises(LengthMismatch, match="^11 weights vs 7 states$"):
-        detailed_balance(k, stationary_numerators(11))
 
 
 def test_mixing_time_eps_one(chain):
@@ -188,10 +181,8 @@ def test_circle_0_is_the_worst_start_for_every_generator(chain, p, data):
 
 
 def test_mixing_time_rejects_bad_input_before_iterating(monkeypatch):
-    from circlewalk.bounds import equilibrium_kernel
-
     k = build_kernel(StructureTensor(make_modulus(7)))
-    eq = equilibrium_kernel(make_modulus(7))
+    eq = equilibrium_kernel(7)
     monkeypatch.setattr(
         "circlewalk.walk.stationary_array",
         lambda p: pytest.fail("mixing_time iterated before checking input"))
@@ -218,7 +209,7 @@ def test_every_generator_kernel_is_stochastic_and_balanced(chain, p, data):
     k = walk_kernel(tensor, data.draw(st.integers(1, p - 1)))
     assert (k.scaled >= 0).all()
     assert (k.scaled.sum(axis=1) == k.denominator).all()
-    assert detailed_balance(k, stationary_numerators(p)).ok
+    assert detailed_balance(k).ok
 
 
 @settings(max_examples=30, deadline=None)
