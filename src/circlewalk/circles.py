@@ -21,10 +21,13 @@ import numpy as np
 
 from .modular import PrimeModulus
 
-# Dense coefficient tables hold p^3 small ints; keep them desk-scale.
+# Largest p for the dense table and the axiom checks: it keeps every int64
+# Krylov sum of ``c1_generates`` below 2^63, and the p^3 table that a
+# failed certificate falls back to desk-scale.
 DENSE_TABLE_LIMIT = 512
 
-# Rows of j (or blocks of i) contracted per matmul: keeps temporaries at O(p^2).
+# Rows of j contracted per matmul by the exhaustive associativity check:
+# keeps its temporaries at O(p^2) beside the table.
 _ASSOC_BLOCK = 16
 # The Krylov rank of c_1 is taken modulo this prime: below 2^26, so every
 # int64 sum of p <= DENSE_TABLE_LIMIT products of residues is below 2^63.
@@ -111,7 +114,8 @@ class StructureTensor:
         the plane taking C_k onto C_{ak}: the circles are the orbit
         hypergroup of the norm-one torus (Bloom and Heyer, *Harmonic
         Analysis of Probability Measures on Hypergroups*, 1995). The
-        table, the scalar accessor and the export read these blocks.
+        axiom checks, the table, the scalar accessor and the export read
+        these blocks.
         """
         p = self.p
         i = operator.index(i)
@@ -209,15 +213,18 @@ class AxiomReport:
         return all(c.passed for c in self.checks())
 
 
-def _first_witness(bad: np.ndarray) -> tuple[int, ...] | None:
-    where = np.argwhere(bad)
-    return tuple(int(v) for v in where[0]) if where.size else None
+def _first_witness(bad: np.ndarray, *index: int) -> tuple[int, ...] | None:
+    """The leading ``index`` and then the first hit of the mask ``bad`` in
+    row-major order, or None when ``bad`` has no hit."""
+    if not bad.any():  # much cheaper than argwhere on a clean mask
+        return None
+    return (*index, *(int(v) for v in np.argwhere(bad)[0]))
 
 
-def _axiom(name: str, bad: np.ndarray) -> AxiomCheck:
-    """The check ``name``, passed unless the mask ``bad`` has a hit; the
-    witness is the first hit in row-major order."""
-    return AxiomCheck(name, not bad.any(), _first_witness(bad))
+def _check(name: str, witness: tuple[int, ...] | None,
+           method: str | None = None) -> AxiomCheck:
+    """The check ``name``, passed unless it has a witness."""
+    return AxiomCheck(name, witness is None, witness, method)
 
 
 def exact_dtype(bound: int) -> type:
@@ -232,19 +239,26 @@ def exact_dtype(bound: int) -> type:
     return object
 
 
-def contraction_dtype(table: np.ndarray) -> type:
-    """Cheapest dtype in which ``associativity_witness`` is exact on table.
+def _magnitude(block: np.ndarray) -> tuple[int, int]:
+    """Largest row sum of |entries| and largest |entry| of an integer
+    block, taken in int64, so an int32 entry of -2^31 counts as 2^31."""
+    magnitude = np.abs(block, dtype=np.int64)
+    return int(magnitude.sum(axis=1).max()), int(magnitude.max())
 
-    Every term and partial sum of sum_t e[i,j,t] e[t,k,m] (or of the
-    right-hand side) is an integer of magnitude at most
-    B = max_{i,j} sum_t |e[i,j,t]| * max |e|, and ``exact_dtype(B)``
-    holds them all. A valid table has B = (p+1)^2, so float32; tampered
-    tables may need float64, int64 or Python integers.
+
+def contraction_dtype(blocks) -> type:
+    """Cheapest dtype in which products of the (p, p) integer ``blocks``
+    (the i-slices of a table, or a pair of blocks) are exact.
+
+    Every term and partial sum of a product of two of them, such as
+    sum_t e[i,j,t] e[t,k,m] in ``associativity_witness`` or N_i N_1 in
+    the certificate, is an integer of magnitude at most B = (largest row
+    sum of |entries|) * (largest |entry|), and ``exact_dtype(B)`` holds
+    them all. A valid table has B = (p+1)^2, so float32; tampered tables
+    may need float64, int64 or Python integers.
     """
-    row_l1 = max(
-        int(np.abs(block, dtype=np.int64).sum(axis=1).max()) for block in table
-    )
-    return exact_dtype(row_l1 * max(int(table.max()), -int(table.min())))
+    row_l1, peak = map(max, zip(*map(_magnitude, blocks)))
+    return exact_dtype(row_l1 * peak)
 
 
 def associativity_witness(table: np.ndarray, dtype) -> tuple[int, ...] | None:
@@ -291,7 +305,7 @@ def nonsingular_mod(matrix: np.ndarray, q: int) -> bool:
 
 def c1_generates(block: np.ndarray) -> bool:
     """Whether the Krylov vectors e_0 N_1^t, t < p, have rank p, with
-    N_1 = block, the (p, p) numerators of c_1 (``table[1]``): then
+    N_1 = block, the (p, p) numerators of c_1 (``numerators(1)``): then
     multiplication by c_1 is non-derogatory.
 
     The rank is taken modulo _KRYLOV_PRIME. Rank p there means a nonzero
@@ -310,65 +324,80 @@ def c1_generates(block: np.ndarray) -> bool:
     return nonsingular_mod(krylov, q)
 
 
-def commutes_with_c1(table: np.ndarray, dtype) -> bool:
-    """Whether N_i N_1 == N_1 N_i for every i, with N_i = table[i].
-
-    Contracts _ASSOC_BLOCK slices of i at a time in ``dtype``. Every
-    partial sum is bounded by the ``contraction_dtype`` bound B, so its
-    dtype makes the comparison exact.
-    """
-    p = table.shape[0]
-    n1 = table[1].astype(dtype)
-    for i0 in range(0, p, _ASSOC_BLOCK):
-        block = table[i0:i0 + _ASSOC_BLOCK].astype(dtype)
-        if not np.array_equal(block @ n1, n1 @ block):
-            return False
-    return True
-
-
 def validate_axioms(tensor: StructureTensor) -> AxiomReport:
     """Check positivity, normalization, commutativity, hermitian support
-    at index 0, and associativity, all exactly.
+    at index 0, and associativity, all exactly, for p up to
+    DENSE_TABLE_LIMIT.
 
     Works on numerators over the common denominator p + 1, so every
-    comparison is between integers. Associativity is first certified in
-    O(p^4) from three facts, with L_i the multiplication by c_i:
+    comparison is between integers. Each block N_i = ``numerators(i)``
+    is read once, in order of i, and only N_i and N_1 are held: memory is
+    O(p^2). Positivity, normalization and hermitian support are read off
+    each block, and the first witness is the first hit in row-major
+    order of the (i, j, k) or (i, j) index. Commutativity and
+    associativity are certified in O(p^4) from three facts, with L_i the
+    multiplication by c_i, whose matrix is N_i:
 
-    1. the table is commutative;
-    2. L_1 is non-derogatory (``c1_generates``): the Krylov vectors
-       e_0, L_1 e_0, ..., L_1^(p-1) e_0 have full rank;
-    3. every L_i commutes with L_1 (``commutes_with_c1``).
+    1. c_0 is the identity: e_0 N_i = (p+1) e_i for every i;
+    2. every L_i commutes with L_1: N_i N_1 == N_1 N_i;
+    3. L_1 is non-derogatory (``c1_generates``): the Krylov vectors
+       e_0, e_0 N_1, ..., e_0 N_1^(p-1) have full rank.
 
-    By 2 and 3 every L_i is a polynomial in L_1, so all L_i commute, and
-    with 1, (ab)c = c(ab) = a(cb) = a(bc). If any step fails, the
-    exhaustive ``associativity_witness`` compares sum_t n_ij^t n_tk^m
-    with sum_t n_jk^t n_it^m for all quadruples and names the first
-    witness. Both paths run in the dtype ``contraction_dtype`` proves
-    exact: float32 for every valid table up to DENSE_TABLE_LIMIT.
+    By 3, e_0 is a cyclic vector of N_1, so with 2 every N_i is a
+    polynomial in N_1 and all N_i commute. With 1 the product is
+    commutative, (p+1) n_ji = e_0 N_i N_j = e_0 N_j N_i = (p+1) n_ij, and
+    associative, (ab)c = c(ab) = a(cb) = a(bc). Steps 1 and 2 run on
+    each block, in the dtype ``contraction_dtype`` proves exact (float32
+    for every valid table); step 3 runs last, and only if every block
+    passed them. If any step fails, the dense ``scaled_table`` is built,
+    commutativity is read off its first witness, and the exhaustive
+    ``associativity_witness`` compares sum_t n_ij^t n_tk^m with
+    sum_t n_jk^t n_it^m for all quadruples and names the first witness.
     """
     p = tensor.p
-    e = tensor.scaled_table()
-    positivity = _axiom("positivity", e < 0)
-    normalization = _axiom(
-        "normalization", e.sum(axis=2, dtype=np.int64) != p + 1
-    )
-    commutativity = _axiom("commutativity", e != e.transpose(1, 0, 2))
-    # only the nonzero circles are checked: c_i c_j holds c_0 iff i == j
-    herm_bad = (e[:, :, 0] > 0) != np.eye(p, dtype=bool)
-    herm_bad[0] = herm_bad[:, 0] = False
-    hermitian_support = _axiom("hermitian_support", herm_bad)
-
-    dtype = contraction_dtype(e)
-    if commutativity.passed and c1_generates(e[1]) and commutes_with_c1(e, dtype):
-        associativity = AxiomCheck(
-            "associativity", True, method="generator-commutant"
+    if p > DENSE_TABLE_LIMIT:
+        raise ValueError(f"axiom checks for p={p} exceed limit {DENSE_TABLE_LIMIT}")
+    n1 = tensor.numerators(1)
+    n1_magnitude = _magnitude(n1)
+    circles = np.arange(p)
+    positivity = normalization = hermitian = None
+    certified = True
+    for i in range(p):
+        block = n1 if i == 1 else tensor.numerators(i)
+        positivity = positivity or _first_witness(block < 0, i)
+        normalization = normalization or _first_witness(
+            block.sum(axis=1) != p + 1, i
         )
+        if i:
+            # only the nonzero circles are checked: c_i c_j holds c_0 iff i == j
+            herm_bad = (block[:, 0] > 0) != (circles == i)
+            herm_bad[0] = False
+            hermitian = hermitian or _first_witness(herm_bad, i)
+        certified = certified and np.array_equal(block[0], (p + 1) * (circles == i))
+        if certified:
+            # contraction_dtype((block, n1)), with the magnitude of N_1 kept
+            row_l1, peak = map(max, _magnitude(block), n1_magnitude)
+            dtype = exact_dtype(row_l1 * peak)
+            a, b = block.astype(dtype), n1.astype(dtype)
+            certified = np.array_equal(a @ b, b @ a)
+
+    if certified and c1_generates(n1):
+        commutativity = _check("commutativity", None)
+        associativity = _check("associativity", None, "generator-commutant")
     else:
-        witness = associativity_witness(e, dtype)
-        associativity = AxiomCheck(
-            "associativity", witness is None, witness, method="exhaustive"
+        e = tensor.scaled_table()
+        commutativity = _check(
+            "commutativity", _first_witness(e != e.transpose(1, 0, 2))
+        )
+        associativity = _check(
+            "associativity", associativity_witness(e, contraction_dtype(e)),
+            "exhaustive",
         )
 
     return AxiomReport(
-        positivity, normalization, commutativity, hermitian_support, associativity
+        _check("positivity", positivity),
+        _check("normalization", normalization),
+        commutativity,
+        _check("hermitian_support", hermitian),
+        associativity,
     )

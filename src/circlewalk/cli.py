@@ -185,7 +185,7 @@ def cmd_axioms(args) -> int:
     modulus = make_modulus(args.p)
     limit = circles_mod.DENSE_TABLE_LIMIT
     if modulus.p > limit:
-        # the check runs on the dense table, which is hard-capped
+        # the Krylov sums and the fallback's dense table are capped
         print(f"p={modulus.p} exceeds the dense-table limit {limit}",
               file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,19 @@ def walk_kernel(tensor, m):
 def equilibrium_kernel(p):
     """The rank-one chain on p states whose every row is the invariant law."""
     return StochasticKernel(np.tile(stationary_numerators(p), (p, 1)), p * p)
+
+
+@contextlib.contextmanager
+def serving(table):
+    """Make every ``StructureTensor`` serve the blocks of ``table``, a
+    (p, p, p) table of numerators that may be tampered: ``numerators(i)``
+    returns table[i] as int64, so an int32 entry of -2^31 keeps its
+    magnitude."""
+    def numerators(self, i):
+        return np.asarray(table[i], dtype=np.int64)
+
+    with mock.patch.object(StructureTensor, "numerators", numerators):
+        yield
 
 
 @functools.lru_cache(maxsize=None)

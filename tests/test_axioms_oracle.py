@@ -1,4 +1,4 @@
-"""Both associativity paths of ``validate_axioms`` against exact oracles.
+"""``validate_axioms`` against exact oracles.
 
 The exhaustive contraction runs in float32 whenever ``contraction_dtype``
 proves every partial sum below 2^24, and in float64, int64 or Python
@@ -6,10 +6,14 @@ integers for larger tampered entries. Here tampered tables are checked in
 float32, in int64, and by a full einsum over all p^5 quadruples; all three
 must name the same first witness, or None. The O(p^4) generator-commutant
 certificate may only pass tables the int64 contraction finds associative,
-and when it does not pass, the report is the exhaustive one.
+and when it does not pass, the report is the exhaustive one. The streamed
+checks, which read one block at a time, must give the report of the
+dense p^3 evaluation (``dense_report``), and a valid table must be
+certified without the dense table, in O(p^2) memory.
 """
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +32,7 @@ from circlewalk.circles import (
     validate_axioms,
 )
 from circlewalk.modular import make_modulus, primes_3_mod_4
+from conftest import serving
 
 PRIMES = [7, 11, 19]
 _TABLES = {p: StructureTensor(make_modulus(p)).scaled_table() for p in PRIMES}
@@ -54,11 +59,36 @@ def assert_paths_agree(table):
     return witness
 
 
+def first_hit(bad):
+    where = np.argwhere(bad)
+    return tuple(int(v) for v in where[0]) if where.size else None
+
+
+def dense_report(table):
+    """{check name: witness} of the five checks, from four p^3 masks over
+    the whole table and the exhaustive ``associativity_witness``; the
+    first witness is the first hit in row-major order."""
+    p = table.shape[0]
+    herm_bad = (table[:, :, 0] > 0) != np.eye(p, dtype=bool)
+    herm_bad[0] = herm_bad[:, 0] = False  # identity rows are out of scope
+    return {
+        "positivity": first_hit(table < 0),
+        "normalization": first_hit(table.sum(axis=2, dtype=np.int64) != p + 1),
+        "commutativity": first_hit(table != table.transpose(1, 0, 2)),
+        "hermitian_support": first_hit(herm_bad),
+        "associativity": associativity_witness(table, contraction_dtype(table)),
+    }
+
+
+def streamed_report(table):
+    """``validate_axioms`` of a table, tampered or not."""
+    with serving(table):
+        return validate_axioms(StructureTensor(make_modulus(table.shape[0])))
+
+
 def certified_associativity(table):
     """``validate_axioms(...).associativity`` for a table, tampered or not."""
-    tensor = StructureTensor(make_modulus(table.shape[0]))
-    tensor._table = table
-    return validate_axioms(tensor).associativity
+    return streamed_report(table).associativity
 
 
 def assert_certificate_sound(table):
@@ -109,16 +139,13 @@ def test_swapped_row_pair(p, data):
 
 
 def assert_tampered_entry_takes(value, dtype):
-    p = 7
-    tensor = StructureTensor(make_modulus(p))
-    table = tensor.scaled_table().copy()
+    table = _TABLES[7].copy()
     table[2, 3, 4] = value
     assert contraction_dtype(table) is dtype
     witness = einsum_witness(table)
     assert witness is not None
     assert associativity_witness(table, dtype) == witness
-    tensor._table = table
-    assert validate_axioms(tensor).associativity.witness == witness
+    assert certified_associativity(table).witness == witness
 
 
 def test_mid_entry_takes_the_float64_path():
@@ -179,14 +206,73 @@ def test_failed_krylov_step_falls_back_to_the_same_report():
 def test_non_commutative_tamper_takes_the_exhaustive_path():
     table = _TABLES[7].copy()
     table[1, 2, :] = table[1, 3, :]
-    tensor = StructureTensor(make_modulus(7))
-    tensor._table = table
     with mock.patch.object(circles, "c1_generates") as krylov:
-        report = validate_axioms(tensor)
+        report = streamed_report(table)
     krylov.assert_not_called()
     assert not report.commutativity.passed
     assert report.associativity.method == "exhaustive"
     assert report.associativity.witness == associativity_witness(table, np.int64)
+
+
+@st.composite
+def tampered_tables(draw):
+    """A valid table with up to three cells overwritten, each anywhere,
+    in the identity row of a block or in block 0, and each mirrored
+    (table[j, i, k] too, which keeps the table commutative) or not."""
+    p = draw(st.sampled_from(PRIMES))
+    idx = st.integers(0, p - 1)
+    cell = (st.tuples(idx, idx, idx)
+            | st.tuples(idx, st.just(0), idx)
+            | st.tuples(st.just(0), idx, idx))
+    table = _TABLES[p].copy()
+    for i, j, k in draw(st.lists(cell, min_size=1, max_size=3)):
+        value = draw(st.sampled_from(
+            [int(table[i, j, k]), -1, 0, 1, 2, p + 1, 5000, 10**8, -(2**31)]
+        ))
+        table[i, j, k] = value
+        if draw(st.booleans()):
+            table[j, i, k] = value
+    return table
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=tampered_tables())
+def test_streamed_checks_match_the_dense_report(table):
+    report = streamed_report(table)
+    expected = dense_report(table)
+    for check in report.checks():
+        witness = expected[check.name]
+        assert (check.passed, check.witness) == (witness is None, witness)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_the_certificate_needs_the_identity_rows(p):
+    # every block but N_0 is N_1: each commutes with N_1 and c_1 still
+    # generates, but c_0 is no identity and the product is not commutative
+    table = np.stack([_TABLES[p][0]] + [_TABLES[p][1]] * (p - 1))
+    assert c1_generates(table[1])
+    report = streamed_report(table)
+    expected = dense_report(table)
+    assert expected["commutativity"] is not None
+    for check in report.checks():
+        assert check.witness == expected[check.name]
+    assert report.associativity.method == "exhaustive"
+
+
+@pytest.mark.parametrize("p", [103, 199])
+def test_valid_tables_are_certified_in_o_p2_memory(p):
+    def refuse(self):
+        raise AssertionError("a valid tensor built the dense table")
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(StructureTensor, "scaled_table", refuse):
+            report = validate_axioms(StructureTensor(make_modulus(p)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 16 * 8 * p * p  # sixteen int64 (p, p) blocks
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,7 @@ from circlewalk.circles import (
     validate_axioms,
 )
 from circlewalk.modular import make_modulus, primes_3_mod_4
+from conftest import serving
 
 
 def plane_circle(p, k):
@@ -252,11 +253,10 @@ def test_axioms_pass(p):
 
 
 def test_axioms_catch_corrupted_tensor():
-    t = StructureTensor(make_modulus(7))
-    table = t.scaled_table().copy()
+    table = StructureTensor(make_modulus(7)).scaled_table().copy()
     table[1, 1, 0] = 0
-    t._table = table
-    report = validate_axioms(t)
+    with serving(table):
+        report = validate_axioms(StructureTensor(make_modulus(7)))
     assert not report.all_passed
     assert not report.normalization.passed
     assert report.normalization.witness == (1, 1)
@@ -265,25 +265,23 @@ def test_axioms_catch_corrupted_tensor():
 
 
 def test_hermitian_support_reads_only_nonzero_circles():
-    t = StructureTensor(make_modulus(7))
-    table = t.scaled_table().copy()
+    table = StructureTensor(make_modulus(7)).scaled_table().copy()
     # identity rows are out of scope; the first nonzero hit is (2, 5)
     table[0, 3, 0] = table[4, 0, 0] = 1
     table[3, 2, 0] = table[2, 5, 0] = 1
-    t._table = table
-    check = validate_axioms(t).hermitian_support
+    with serving(table):
+        check = validate_axioms(StructureTensor(make_modulus(7))).hermitian_support
     assert (check.passed, check.witness) == (False, (2, 5))
 
 
 def test_axioms_catch_non_associative_product():
     # swapping in another valid distribution keeps rows normalized and
     # commutative but breaks associativity alone
-    t = StructureTensor(make_modulus(7))
-    table = t.scaled_table().copy()
+    table = StructureTensor(make_modulus(7)).scaled_table().copy()
     table[1, 2, :] = table[1, 3, :]
     table[2, 1, :] = table[3, 1, :]
-    t._table = table
-    report = validate_axioms(t)
+    with serving(table):
+        report = validate_axioms(StructureTensor(make_modulus(7)))
     assert report.positivity.passed
     assert report.normalization.passed
     assert report.commutativity.passed
