@@ -1,5 +1,9 @@
 """Random walks on the circles of F_p^2: exact structure, mixing, bounds."""
 
+# numpy before the package's modules: allocating modular's body first
+# raised every command's peak RSS by about 0.1 MB, by heap layout alone.
+import numpy  # noqa: F401
+
 from .modular import (
     NotPrime,
     PrimeModulus,

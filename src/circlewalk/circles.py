@@ -6,9 +6,9 @@ C_k with probability n_ij^k; those coefficients make the p circles a
 finite hypergroup. Everything here is exact: coefficients are rationals
 with denominator p + 1 (identity rows aside), and the brute-force counter
 is kept fully independent of the closed form so each can check the other:
-the closed form reads the modulus's square table, while the counter reads
-only p, finding each circle's points by field arithmetic (a square root
-by exponentiation, checked by squaring).
+the closed form reads the table of squares mod p (``square_table``),
+while the counter reads only p, finding each circle's points by field
+arithmetic (a square root by exponentiation, checked by squaring).
 """
 
 from __future__ import annotations
@@ -64,6 +64,18 @@ def circle_points(modulus: PrimeModulus, k: int) -> list[tuple[int, int]]:
     return pts
 
 
+def square_table(p: int) -> np.ndarray:
+    """Read-only bool table of length p whose entry a is True iff a is a
+    nonzero square mod p; only the closed form reads it."""
+    table = np.zeros(p, dtype=bool)
+    a = np.arange(1, p, dtype=np.int64)
+    table[a * a % p] = True
+    table.setflags(write=False)
+    assert int(table.sum()) == (p - 1) // 2
+    assert not table[p - 1]  # -1 is a non-square when p = 3 (mod 4)
+    return table
+
+
 class StructureTensor:
     """Exact accessor for the product coefficients n_ij^k.
 
@@ -74,17 +86,16 @@ class StructureTensor:
 
     The closed form is evaluated once, for the C_1 block N_1 (``n1``,
     read-only), and every other block is gathered from it
-    (``numerators``); the dense table of all blocks is built lazily and
-    only for p up to DENSE_TABLE_LIMIT.
+    (``numerators``); the dense table of all blocks is built on request
+    and only for p up to DENSE_TABLE_LIMIT.
     """
 
     def __init__(self, modulus: PrimeModulus):
         self.modulus = modulus
-        self._table: np.ndarray | None = None
         p = modulus.p
         j, k = np.ogrid[:p, :p]
         v = (j - (k - 1 - j) ** 2 * pow(4, -1, p)) % p
-        n1 = np.where(modulus.residue_table[v], 2, 0)
+        n1 = np.where(square_table(p)[v], 2, 0)
         n1[v == 0] = 1
         # j = 0 is the identity: n_10^k = [k == 1]
         n1[0] = 0
@@ -135,22 +146,18 @@ class StructureTensor:
         return int(self.numerators(i)[j, k])
 
     def scaled_table(self) -> np.ndarray:
-        """Dense (p, p, p) int32 table of scaled numerators, memoized.
-
-        Built one i-block at a time so temporaries stay O(p^2).
-        """
-        if self._table is None:
-            p = self.p
-            if p > DENSE_TABLE_LIMIT:
-                raise ValueError(
-                    f"dense table for p={p} exceeds limit {DENSE_TABLE_LIMIT}"
-                )
-            table = np.empty((p, p, p), dtype=np.int32)
-            for i in range(p):
-                table[i] = self.numerators(i)
-            table.setflags(write=False)
-            self._table = table
-        return self._table
+        """Dense (p, p, p) int32 table of scaled numerators, built anew on
+        each call, one i-block at a time so temporaries stay O(p^2)."""
+        p = self.p
+        if p > DENSE_TABLE_LIMIT:
+            raise ValueError(
+                f"dense table for p={p} exceeds limit {DENSE_TABLE_LIMIT}"
+            )
+        table = np.empty((p, p, p), dtype=np.int32)
+        for i in range(p):
+            table[i] = self.numerators(i)
+        table.setflags(write=False)
+        return table
 
 
 def pair_quadrance_counts(modulus: PrimeModulus, i: int, j: int) -> np.ndarray:

@@ -30,6 +30,11 @@ EXIT_BAD_MODULUS = 2
 EXIT_NOT_MIXED = 3
 EXIT_INVARIANT = 4
 
+# Largest p that ``constants`` exports without --force: the export has
+# p^3 rows, 127 M rows and 19.5 s at p = 503 on a 2-core machine
+# (`BENCH_16.json`).
+EXPORT_GATE = 512
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -46,13 +51,14 @@ def fmt(x) -> str:
     return str(x)
 
 
-class _OutputError(Exception):
-    """The output cannot be opened, written, flushed or closed."""
+class _UsageError(Exception):
+    """A refused input, or an output that cannot be opened, written,
+    flushed or closed: ``main`` prints the message and exits 1."""
 
 
 @contextlib.contextmanager
 def _output_errors():
-    """Raise an OSError of the output as ``_OutputError``. A broken pipe
+    """Raise an OSError of the output as ``_UsageError``. A broken pipe
     first points stdout's fd at os.devnull, so the flush at interpreter
     exit cannot fail on it again."""
     try:
@@ -62,7 +68,7 @@ def _output_errors():
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        raise _OutputError(f"cannot write output: {exc}") from exc
+        raise _UsageError(f"cannot write output: {exc}") from exc
 
 
 def _emit(chunks, output: str | None) -> None:
@@ -165,11 +171,8 @@ def _constants_json_chunks(tensor):
 def cmd_constants(args) -> int:
     modulus = make_modulus(args.p)
     p = modulus.p
-    gate = circles_mod.DENSE_TABLE_LIMIT
-    if p > gate and not args.force:
-        print(f"p={p} exceeds the export gate {gate}; use --force",
-              file=sys.stderr)
-        return EXIT_USAGE
+    if p > EXPORT_GATE and not args.force:
+        raise _UsageError(f"p={p} exceeds the export gate {EXPORT_GATE}; use --force")
     tensor = circles_mod.StructureTensor(modulus)
     if args.format == "json":
         _emit(_constants_json_chunks(tensor), args.output)
@@ -186,9 +189,7 @@ def cmd_axioms(args) -> int:
     limit = circles_mod.DENSE_TABLE_LIMIT
     if modulus.p > limit:
         # the Krylov sums and the fallback's dense table are capped
-        print(f"p={modulus.p} exceeds the dense-table limit {limit}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"p={modulus.p} exceeds the dense-table limit {limit}")
     report = circles_mod.validate_axioms(circles_mod.StructureTensor(modulus))
     checks = report.checks()
     obj = {
@@ -302,15 +303,11 @@ def _scan_row(task: tuple[int, float]) -> list:
 
 def cmd_scan(args) -> int:
     if args.p_min > args.p_max:
-        print("empty range: p-min exceeds p-max", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("empty range: p-min exceeds p-max")
     primes = primes_3_mod_4(args.p_min, args.p_max)
     if not primes:
-        print(
-            f"empty range: no prime = 3 (mod 4) in [{args.p_min}, {args.p_max}]",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise _UsageError(
+            f"empty range: no prime = 3 (mod 4) in [{args.p_min}, {args.p_max}]")
     # largest prime first, so the pool ends on cheap tasks
     tasks = [(p, args.eps) for p in reversed(primes)]
     if args.jobs > 1 and len(tasks) > 1:
@@ -413,7 +410,7 @@ def main(argv=None) -> int:
     except walk_mod.NotMixed as exc:
         print(f"not mixed: {exc}", file=sys.stderr)
         return EXIT_NOT_MIXED
-    except _OutputError as exc:
+    except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # invariant violations and unexpected failures

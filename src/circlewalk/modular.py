@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class NotPrime(ValueError):
     """Modulus candidate is composite or smaller than 2."""
@@ -28,28 +26,19 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeModulus:
-    """A validated prime p = 3 (mod 4) plus its table of nonzero squares.
-
-    ``residue_table[a]`` is True iff a is a nonzero square mod p. The
-    closed form of the structure constants reads it; the brute-force
-    oracle does not. Instances are immutable.
+    """A validated prime p = 3 (mod 4), and nothing else: validation is
+    the O(sqrt p) trial division, so every later gate fires before any
+    O(p) work. Instances are immutable.
     """
 
-    __slots__ = ("p", "residue_table")
+    __slots__ = ("p",)
 
     def __init__(self, n: int):
         if n < 3 or not _is_prime(n):
             raise NotPrime(f"{n} is not an odd prime")
         if n % 4 != 3:
             raise WrongResidueClass(f"{n} = {n % 4} (mod 4), need 3 (mod 4)")
-        table = np.zeros(n, dtype=bool)
-        for a in range(1, n):
-            table[(a * a) % n] = True
-        table.setflags(write=False)
-        assert int(table.sum()) == (n - 1) // 2
-        assert not table[n - 1]  # -1 is a non-square when p = 3 (mod 4)
         object.__setattr__(self, "p", n)
-        object.__setattr__(self, "residue_table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeModulus is immutable")
@@ -59,7 +48,7 @@ class PrimeModulus:
 
 
 def make_modulus(n: int) -> PrimeModulus:
-    """Validate n as a prime = 3 (mod 4) and precompute its square table."""
+    """Validate n as a prime = 3 (mod 4)."""
     return PrimeModulus(n)
 
 

@@ -198,8 +198,8 @@ def mixing_time(
     """
     if kernel.generator is None:
         raise ValueError("mixing_time needs a walk kernel with a generator")
-    if not 0 < epsilon <= 1:
-        raise BadEpsilon(f"epsilon must be in (0, 1], got {epsilon}")
+    if not 0 < epsilon < 1:
+        raise BadEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
 
     p = kernel.p
     pi = stationary_array(p)

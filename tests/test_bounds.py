@@ -323,6 +323,15 @@ def test_coupling_bound_bad_epsilon():
         smallest_contraction_power(7, -0.5)
 
 
+def test_bound_report_refuses_eps_one_before_the_bounds(monkeypatch):
+    # mixing_time, the first stage, refuses eps = 1 as coupling_bound, the
+    # last, does; the spectrum, paths and cycles between them never run
+    monkeypatch.setattr(bounds_mod, "comparison_bound", lambda kernel: pytest.fail(
+        "bound_report ran the bounds before refusing eps = 1"))
+    with pytest.raises(BadEpsilon):
+        bound_report(make_modulus(1019), 1.0)
+
+
 def test_coupling_bound_monotone_and_dominated():
     previous = 0
     for p in [7, 11, 19, 23, 31, 43, 59]:

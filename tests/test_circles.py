@@ -1,14 +1,18 @@
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from circlewalk import circles as circles_mod
 from circlewalk.circles import (
     StructureTensor,
     circle_points,
     exact_dtype,
     pair_quadrance_counts,
     quadrance,
+    square_table,
     structure_constant_bruteforce,
     validate_axioms,
 )
@@ -44,30 +48,31 @@ def test_circle_points_match_plane_scan(p):
         assert len(pts) == (1 if k == 0 else p + 1)
 
 
-def tampered_modulus(p):
-    """make_modulus(p) with the square 1 and the smallest non-square
-    swapped in its square table."""
-    m = make_modulus(p)
-    table = m.residue_table.copy()
+@contextlib.contextmanager
+def tampered_square_table(p):
+    """Make ``circles.square_table(p)`` swap the square 1 and the
+    smallest non-square, the way ``conftest.serving`` patches
+    ``numerators``."""
+    table = square_table(p).copy()
     b = int(np.flatnonzero(~table[1:])[0]) + 1
     table[1], table[b] = False, True
-    # PrimeModulus refuses plain assignment
-    object.__setattr__(m, "residue_table", table)
-    return m
+    with mock.patch.object(circles_mod, "square_table", lambda q: table):
+        yield
 
 
 @pytest.mark.parametrize("p", [7, 11, 19, 23])
 def test_oracle_ignores_a_tampered_square_table(p):
     # the closed form reads the square table and the oracle must not, so
     # a swap there moves the closed form and leaves the points on circles
-    m = tampered_modulus(p)
-    for k in range(p):
-        assert circle_points(m, k) == plane_circle(p, k)
-    t = StructureTensor(m)
-    assert any(
-        structure_constant_bruteforce(m, 1, j, k) != t.constant(1, j, k)
-        for j in range(p) for k in range(p)
-    )
+    m = make_modulus(p)
+    with tampered_square_table(p):
+        for k in range(p):
+            assert circle_points(m, k) == plane_circle(p, k)
+        t = StructureTensor(m)
+        assert any(
+            structure_constant_bruteforce(m, 1, j, k) != t.constant(1, j, k)
+            for j in range(p) for k in range(p)
+        )
 
 
 @pytest.mark.parametrize("p", [7, 11, 19, 23])
@@ -175,7 +180,7 @@ def closed_form_block(modulus, i):
     j = np.arange(p).reshape(p, 1)
     k = np.arange(p).reshape(1, p)
     v = (i * j - (k - i - j) ** 2 * pow(4, -1, p)) % p
-    block = np.where(modulus.residue_table[v], 2, 0)
+    block = np.where(square_table(p)[v], 2, 0)
     block[v == 0] = 1
     block[0] = 0
     block[0, i] = p + 1

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,6 +75,10 @@ def test_constants_rows_match_bruteforce(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["constants", "--p", "523"], "p=523 exceeds the export gate 512; use --force"),
     (["axioms", "--p", "523"], "p=523 exceeds the dense-table limit 512"),
+    (["constants", "--p", "100000007"],
+     "p=100000007 exceeds the export gate 512; use --force"),
+    (["axioms", "--p", "100000007"],
+     "p=100000007 exceeds the dense-table limit 512"),
 ])
 def test_size_gates_fire_before_any_work(capsys, monkeypatch, argv, message):
     import circlewalk.cli as cli_mod
@@ -83,8 +88,26 @@ def test_size_gates_fire_before_any_work(capsys, monkeypatch, argv, message):
 
     # work past the gate would end in exit 4, not the usage exit 1
     monkeypatch.setattr(cli_mod.circles_mod, "StructureTensor", no_work)
-    code, out, err = run(capsys, *argv)
+    # the modulus is validated by trial division alone, so no O(p) work,
+    # such as a 100 MB table of squares at p = 100000007, precedes a gate
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (code, out, err) == (1, "", message + "\n")
+    assert peak < 2**20
+
+
+def test_the_export_gate_is_its_own_constant(capsys, monkeypatch):
+    # the export streams its blocks, so its gate is not the axiom cap
+    import circlewalk.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "EXPORT_GATE", 7)
+    assert run(capsys, "constants", "--p", "11") == (
+        1, "", "p=11 exceeds the export gate 7; use --force\n")
+    assert run(capsys, "axioms", "--p", "11")[0] == 0
 
 
 def test_constants_force_passes_the_export_gate(capsys, monkeypatch):
@@ -415,9 +438,10 @@ def test_scan_range(capsys):
 
 
 def test_scan_empty_range(capsys):
-    code, _, err = run(capsys, "scan", "--p-min", "24", "--p-max", "30")
-    assert code == 1
-    assert "empty range" in err
+    assert run(capsys, "scan", "--p-min", "24", "--p-max", "30") == (
+        1, "", "empty range: no prime = 3 (mod 4) in [24, 30]\n")
+    assert run(capsys, "scan", "--p-min", "30", "--p-max", "24") == (
+        1, "", "empty range: p-min exceeds p-max\n")
 
 
 def test_reruns_byte_identical(capsys):

@@ -1,7 +1,9 @@
 import pytest
 
+from circlewalk.circles import square_table
 from circlewalk.modular import (
     NotPrime,
+    PrimeModulus,
     WrongResidueClass,
     make_modulus,
     primes_3_mod_4,
@@ -9,8 +11,8 @@ from circlewalk.modular import (
 
 
 def test_squares_mod_7():
-    m = make_modulus(7)
-    squares = {a for a in range(7) if m.residue_table[a]}
+    table = square_table(make_modulus(7).p)
+    squares = {a for a in range(7) if table[a]}
     assert squares == {1, 2, 4}
 
 
@@ -31,17 +33,19 @@ def test_rejects_non_primes_and_small(n):
 def test_accepts_4003():
     m = make_modulus(4003)
     assert m.p == 4003
-    assert int(m.residue_table.sum()) == (4003 - 1) // 2
+    assert int(square_table(m.p).sum()) == (4003 - 1) // 2
 
 
 @pytest.mark.parametrize("p", [7, 11, 19, 23])
 def test_field_properties_exhaustive(p):
     # the closed form reads the square table, so pin it to squaring
-    m = make_modulus(p)
+    table = square_table(make_modulus(p).p)
     squares = {a * a % p for a in range(1, p)}
-    assert m.residue_table.tolist() == [a in squares for a in range(p)]
-    assert int(m.residue_table.sum()) == (p - 1) // 2
-    assert not m.residue_table[p - 1]  # -1 is a non-square
+    assert table.tolist() == [a in squares for a in range(p)]
+    assert int(table.sum()) == (p - 1) // 2
+    assert not table[p - 1]  # -1 is a non-square
+    with pytest.raises(ValueError):  # and the table is read-only
+        table[1] = False
 
 
 def test_modulus_is_immutable():
@@ -49,10 +53,8 @@ def test_modulus_is_immutable():
     with pytest.raises(AttributeError, match="^PrimeModulus is immutable$"):
         m.p = 11
     with pytest.raises(AttributeError, match="^PrimeModulus is immutable$"):
-        m.residue_table = make_modulus(11).residue_table
-    with pytest.raises(ValueError):  # and the table itself is read-only
-        m.residue_table[1] = False
-    assert m.p == 7 and m.residue_table[1]
+        m.residue_table = None  # the modulus holds p and nothing else
+    assert m.p == 7 and PrimeModulus.__slots__ == ("p",)
 
 
 def test_primes_3_mod_4_range():

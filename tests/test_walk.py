@@ -133,10 +133,15 @@ def test_detailed_balance_witness_matches_the_fraction_loop(chain, p, data):
 
 
 def test_mixing_time_eps_one(chain):
+    # the TV to the invariant law is below 1, so eps = 1 is vacuous: it is
+    # refused with the message of boost_epsilon, as the CLI's --eps refuses it
     _, _, k, _ = chain(7)
-    report = mixing_time(k, epsilon=1.0)
-    assert report.tau == 0
-    assert len(report.tv_curve) == 1
+    with pytest.raises(BadEpsilon) as refused:
+        mixing_time(k, epsilon=1.0)
+    with pytest.raises(BadEpsilon) as boosted:
+        boost_epsilon(3, 1.0)
+    assert str(refused.value) == str(boosted.value) == (
+        "epsilon must be in (0, 1), got 1.0")
 
 
 def all_starts_tvs(kernel):
