@@ -15,7 +15,6 @@ from .circles import (
     AxiomReport,
     StructureTensor,
     circle_points,
-    quadrance,
     structure_constant_bruteforce,
     validate_axioms,
 )
@@ -25,7 +24,6 @@ from .walk import (
     MixingReport,
     NotMixed,
     StochasticKernel,
-    WalkTrace,
     boost_epsilon,
     build_kernel,
     detailed_balance,

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circles import StructureTensor, exact_dtype
+from .circles import exact_dtype
 from .modular import PrimeModulus
 from .walk import (
     DEFAULT_EPSILON,
@@ -455,7 +455,7 @@ def bound_report(
     before the other stages, whose exact contraction powers grow with
     ln(1/epsilon).
     """
-    kernel = build_kernel(StructureTensor(modulus))
+    kernel = build_kernel(modulus)
     mixing = mixing_time(kernel, epsilon)
     spectral = spectrum(kernel)
     comp = comparison_bound(kernel)

@@ -39,11 +39,6 @@ def _check_index(p: int, k: int) -> None:
         raise IndexError(f"circle index {k} out of range [0, {p})")
 
 
-def quadrance(modulus: PrimeModulus, x: int, y: int) -> int:
-    """Quadrance of the plane point (x, y): x^2 + y^2 mod p."""
-    return (x * x + y * y) % modulus.p
-
-
 def circle_points(modulus: PrimeModulus, k: int) -> list[tuple[int, int]]:
     """All points of the circle with quadrance k, sorted lexicographically.
 
@@ -161,7 +156,7 @@ class StructureTensor:
 
 
 def pair_quadrance_counts(modulus: PrimeModulus, i: int, j: int) -> np.ndarray:
-    """Histogram over k of quadrance(a + b) for all (a, b) in C_i x C_j.
+    """Histogram over k of the quadrance of a + b for all (a, b) in C_i x C_j.
 
     Direct enumeration of point pairs; this is the counting definition of
     the product and deliberately shares no code with the closed form.

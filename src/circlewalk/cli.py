@@ -219,7 +219,7 @@ def cmd_stationary(args) -> int:
 
 def cmd_mix(args) -> int:
     modulus = make_modulus(args.p)
-    kernel = walk_mod.build_kernel(circles_mod.StructureTensor(modulus))
+    kernel = walk_mod.build_kernel(modulus)
     report = walk_mod.mixing_time(kernel, args.eps)
     obj = {
         "p": modulus.p,
@@ -233,7 +233,7 @@ def cmd_mix(args) -> int:
 
 def cmd_spectrum(args) -> int:
     modulus = make_modulus(args.p)
-    kernel = walk_mod.build_kernel(circles_mod.StructureTensor(modulus))
+    kernel = walk_mod.build_kernel(modulus)
     spectral = bounds_mod.spectrum(kernel)
     eigenvalues = spectral.eigenvalues.tolist()
     obj = {
@@ -257,9 +257,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     modulus = make_modulus(args.p)
-    result = walk_mod.simulate(modulus, args.steps, args.trials, args.seed)
-    counts = result.quadrance_counts.tolist()
-    frequencies = (result.quadrance_counts / args.trials).tolist()
+    ends = walk_mod.simulate(modulus, args.steps, args.trials, args.seed)
+    counts, frequencies = ends.tolist(), (ends / args.trials).tolist()
     obj = {
         "p": modulus.p,
         "steps": args.steps,
@@ -286,7 +285,7 @@ def _scan_row(task: tuple[int, float]) -> list:
     report and an unmixed eps fails as fast."""
     p, eps = task
     modulus = make_modulus(p)
-    kernel = walk_mod.build_kernel(circles_mod.StructureTensor(modulus))
+    kernel = walk_mod.build_kernel(modulus)
     tau = walk_mod.mixing_time(kernel, eps).tau
     spectral = bounds_mod.spectrum(kernel)
     coupling_tau = bounds_mod.coupling_bound(modulus, eps).tau_bound
@@ -310,9 +309,10 @@ def cmd_scan(args) -> int:
             f"empty range: no prime = 3 (mod 4) in [{args.p_min}, {args.p_max}]")
     # largest prime first, so the pool ends on cheap tasks
     tasks = [(p, args.eps) for p in reversed(primes)]
-    if args.jobs > 1 and len(tasks) > 1:
-        # the fork pool starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
+    # the fork pool starts every worker at the first submit
+    workers = min(args.jobs, _usable_cores(), len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, tasks))
     else:
         rows = [_scan_row(t) for t in tasks]
@@ -320,6 +320,11 @@ def cmd_scan(args) -> int:
     _emit([_csv_text(SCAN_HEADER, rows)], args.output)
     print(f"max tau_over_p = {fmt(max(r[5] for r in rows))}", file=sys.stderr)
     return EXIT_OK
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: the default and the cap of --jobs."""
+    return len(os.sched_getaffinity(0))
 
 
 def _count(minimum: int):
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(scan, p=False, eps=True)
     scan.add_argument("--p-min", type=int, required=True)
     scan.add_argument("--p-max", type=int, required=True)
-    scan.add_argument("--jobs", type=_count(1), default=os.cpu_count() or 1)
+    scan.add_argument("--jobs", type=_count(1), default=_usable_cores())
     return parser
 
 

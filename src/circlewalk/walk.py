@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circles import StructureTensor, circle_points, exact_dtype, quadrance
+from .circles import StructureTensor, circle_points, exact_dtype
 from .modular import PrimeModulus
 
 DEFAULT_EPSILON = 1 / (2 * math.e)
@@ -88,13 +88,13 @@ class StochasticKernel:
         return f"StochasticKernel(p={self.p}, generator={self.generator})"
 
 
-def build_kernel(tensor: StructureTensor) -> StochasticKernel:
+def build_kernel(modulus: PrimeModulus) -> StochasticKernel:
     """Kernel of the C_1 walk: entry (i, j) is n_i1^j = n_1i^j, the
-    numerators ``tensor.n1`` over p + 1. The C_m walk, m != 0, is this
-    kernel relabelled by k -> k/m (its numerators are
-    ``tensor.numerators(m)``), so every generator has the same mixing
-    time, spectrum and bounds."""
-    return StochasticKernel(tensor.n1, tensor.p + 1, generator=1)
+    numerators ``StructureTensor(modulus).n1`` over p + 1. The C_m walk,
+    m != 0, is this kernel relabelled by k -> k/m (its numerators are
+    ``numerators(m)``), so every generator has the same mixing time,
+    spectrum and bounds."""
+    return StochasticKernel(StructureTensor(modulus).n1, modulus.p + 1, generator=1)
 
 
 def stationary_numerators(p: int) -> np.ndarray:
@@ -231,36 +231,17 @@ def boost_epsilon(tau_base: int, epsilon: float) -> int:
     return tau_base * math.ceil(math.log(1 / epsilon))
 
 
-@dataclass(frozen=True)
-class WalkTrace:
-    """One realized plane walk: positions visited and their quadrances."""
-
-    seed: int
-    positions: tuple[tuple[int, int], ...]
-    quadrances: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)  # array fields: identity equality
-class SimulationResult:
-    """Empirical output of seeded plane walks started at the origin."""
-
-    p: int
-    steps: int
-    trials: int
-    seed: int
-    quadrance_counts: np.ndarray
-    plane_counts: np.ndarray
-    trace: WalkTrace
-
-
 def simulate(
     modulus: PrimeModulus, steps: int, trials: int, seed: int
-) -> SimulationResult:
-    """Run independent C_1 walks on the plane and tally final quadrances.
+) -> np.ndarray:
+    """Run independent C_1 walks on the plane from the origin and count
+    the walks that end on each circle: an int64 array of length p.
 
     Each step adds a uniformly chosen point of C_1. Draws are consumed
     trial-major then step-minor from one generator keyed by ``seed``, so
-    identical arguments reproduce identical counts and traces.
+    identical arguments reproduce identical counts. Memory is the
+    (trials, steps) draws, one block of gathered steps, each walk's end
+    point and the p counts.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -281,19 +262,4 @@ def simulate(
         ]) % p
         for coord in pts.T
     )
-
-    finals = (fx * fx + fy * fy) % p
-    quadrance_counts = np.bincount(finals, minlength=p)
-    plane_counts = np.bincount(fx * p + fy, minlength=p * p).reshape(p, p)
-
-    # only trial 0's history is kept, as the trace
-    path = np.cumsum(pts[idx[0]], axis=0) % p
-    positions = [(0, 0)] + [(int(x), int(y)) for x, y in path]
-    trace = WalkTrace(
-        seed=seed,
-        positions=tuple(positions),
-        quadrances=tuple(quadrance(modulus, x, y) for x, y in positions),
-    )
-    return SimulationResult(
-        p, steps, trials, seed, quadrance_counts, plane_counts, trace
-    )
+    return np.bincount((fx * fx + fy * fy) % p, minlength=p)

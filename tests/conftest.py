@@ -43,7 +43,7 @@ def serving(table):
 def _chain(p):
     modulus = make_modulus(p)
     tensor = StructureTensor(modulus)
-    kernel = build_kernel(tensor)
+    kernel = build_kernel(modulus)
     pi = stationary(modulus)
     return modulus, tensor, kernel, pi
 

@@ -226,12 +226,12 @@ def test_criterion_09_monte_carlo(chain):
     trials = 100000
     run_a = simulate(m, steps=20, trials=trials, seed=42)
     exact = np.linalg.matrix_power(kernel.matrix, 20)[0]
-    freq_a = run_a.quadrance_counts / trials
+    freq_a = run_a / trials
     gap = 0.5 * np.abs(freq_a - exact).sum()
     if gap > 0.02:
         failures.append(f"TV(empirical, exact) = {gap:.4f} > 0.02")
     run_b = simulate(m, steps=20, trials=trials, seed=43)
-    seed_gap = 0.5 * np.abs(freq_a - run_b.quadrance_counts / trials).sum()
+    seed_gap = 0.5 * np.abs(freq_a - run_b / trials).sum()
     se = 0.5 * sum(math.sqrt(2 * w * (1 - w) / trials) for w in exact)
     if seed_gap > 3 * se:
         failures.append(f"TV across seeds = {seed_gap:.4f} > 3 x {se:.4f}")

@@ -509,7 +509,11 @@ def test_scan_coupling_tau_scales_linearly(capsys):
             assert 4 <= coupling_tau / p <= 10
 
 
-def test_scan_pool_no_larger_than_task_list(capsys, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap scan's pool for one that records its ``max_workers`` and maps
+    in this process, so no worker is started; ``cores`` sets the usable
+    core count that scan reads."""
     import circlewalk.cli as cli_mod
 
     sizes = []
@@ -527,12 +531,48 @@ def test_scan_pool_no_larger_than_task_list(capsys, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    def cores(n):
+        monkeypatch.setattr(cli_mod.os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InProcessPool)
+    return sizes, cores
+
+
+def test_scan_pool_no_larger_than_task_list(capsys, pool_sizes):
+    sizes, cores = pool_sizes
+    cores(64)
     _, serial, _ = run(capsys, "scan", "--p-min", "7", "--p-max", "11", "--jobs", "1")
     code, out, _ = run(capsys, "scan", "--p-min", "7", "--p-max", "11",
                        "--jobs", "5000")
     assert (code, out) == (0, serial)
     assert sizes == [2]  # two primes, 7 and 11
+
+
+def test_scan_pool_no_larger_than_the_usable_cores(capsys, pool_sizes):
+    # 12 primes = 3 (mod 4) in 7..100, but only 3 usable cores
+    sizes, cores = pool_sizes
+    cores(3)
+    _, serial, _ = run(capsys, "scan", "--p-min", "7", "--p-max", "100",
+                       "--jobs", "1")
+    code, out, _ = run(capsys, "scan", "--p-min", "7", "--p-max", "100",
+                       "--jobs", "1000")
+    assert (code, out) == (0, serial)
+    assert sizes == [3]
+    # one usable core runs serially, whatever --jobs asks
+    cores(1)
+    assert run(capsys, "scan", "--p-min", "7", "--p-max", "100",
+               "--jobs", "1000")[:2] == (0, serial)
+    assert sizes == [3]
+
+
+def test_scan_jobs_defaults_to_the_usable_cores(monkeypatch):
+    import circlewalk.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0, 5, 9})
+    args = cli_mod.build_parser().parse_args(["scan", "--p-min", "7",
+                                              "--p-max", "11"])
+    assert args.jobs == 3
 
 
 def test_output_file_roundtrip(tmp_path, capsys):

@@ -3,8 +3,12 @@
 Every subcommand at p = 7 in both formats, the tensor export and the
 bounds at p = 103 in both formats, a seeded ``simulate`` and a small
 serial ``scan``: any byte that changes in a table fails here. The
-floats come from numpy's ``eigh`` and matrix products, so a different
-BLAS may change the last digits of the spectrum and bounds rows.
+bytes are identical across reruns, and across ``--jobs``, in one
+environment. The floats come from numpy's ``eigh`` and matrix products,
+so they can move in their last digits with the BLAS library and with
+its thread count: ``scan --p-min 7 --p-max 499`` at two OpenBLAS
+threads instead of one differs from p = 211 up. The reference digests
+of ``perfbench/reference.json`` hold BLAS at one thread.
 """
 
 import hashlib

@@ -41,6 +41,23 @@ def run_block(source: str) -> dict:
     return values
 
 
+def test_readme_builds_the_kernel_from_the_modulus(monkeypatch):
+    # build_kernel reads only its argument's p, so the block would also
+    # run if it passed the tensor
+    import circlewalk
+
+    seen = []
+    real = circlewalk.build_kernel
+
+    def recording(modulus):
+        seen.append(type(modulus))
+        return real(modulus)
+
+    monkeypatch.setattr(circlewalk, "build_kernel", recording)
+    run_block(library_block())
+    assert seen == [circlewalk.PrimeModulus]
+
+
 def test_readme_library_block_states_its_values():
     source = library_block()
     comments = {}
