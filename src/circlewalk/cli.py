@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -31,8 +30,8 @@ EXIT_NOT_MIXED = 3
 EXIT_INVARIANT = 4
 
 # Largest p that ``constants`` exports without --force: the export has
-# p^3 rows, 127 M rows and 19.5 s at p = 503 on a 2-core machine
-# (`BENCH_16.json`).
+# p^3 rows, 127 M rows and about 5 s at p = 503 on a 2-core machine
+# (`BENCH_22.json`).
 EXPORT_GATE = 512
 
 
@@ -123,37 +122,44 @@ _JSON_LAYOUT = ("    [\n      %d,\n      %d,\n",
                 "      %d,\n      %d,\n      %d\n    ]", ",\n")
 
 
-def _block_rows(i: int, j0: int, num, den: int, layout) -> list[str]:
+def _block_rows(i: int, j0: int, num, den: int, layout, tails) -> list[str]:
     """Text of the export rows j0, j0 + 1, ... of the i-block, whose
     numerators ``num`` (one row per j, one column per k) are over ``den``.
 
-    A block holds few distinct numerators, so each tail string is built
-    once per distinct value and per k, and one str.join writes a row.
+    ``tails`` maps (value, den) to that value's tail strings, one per k,
+    and lives for one export, so each is formatted once. A real block's
+    values span fewer than p integers, and it indexes them by num - min;
+    only a tampered table spans more, and finds its values by a sort.
     """
     head, tail, sep = layout
-    # every value gets its own tail, whatever its sign or size
-    values, inverse = np.unique(num, return_inverse=True)
-    k = np.arange(num.shape[1])
-    tails = np.array([[tail % (c, v, den) for c in k.tolist()]
-                      for v in values.tolist()], dtype=object)
-    gathered = tails[inverse.reshape(num.shape), k]
+    p = num.shape[1]
+    lo, hi = int(num.min()), int(num.max())  # hi - lo can overflow int64
+    if hi - lo < p:
+        values, index = range(lo, hi + 1), num - lo
+    else:
+        values, inverse = np.unique(num, return_inverse=True)
+        values, index = values.tolist(), inverse.reshape(num.shape)
+    for v in values:
+        if (v, den) not in tails:
+            tails[v, den] = [tail % (k, v, den) for k in range(p)]
+    table = np.array([tails[v, den] for v in values], dtype=object)
     rows = []
-    for j, texts in enumerate(gathered.tolist(), j0):
+    for j, texts in enumerate(table[index, np.arange(p)].tolist(), j0):
         h = head % (i, j)
         rows.append(h + (sep + h).join(texts))
     return rows
 
 
-def _block_text(tensor, i: int, layout) -> str:
+def _block_text(tensor, i: int, layout, tails) -> str:
     """Text of the i-block's export rows: the identity rows (a zero index)
     print the integer numerator // (p + 1) over 1, the others the
     numerator over p + 1."""
     p = tensor.p
     block = tensor.numerators(i)
     ones = p if i == 0 else 1  # rows j < ones are identity rows
-    rows = _block_rows(i, 0, block[:ones] // (p + 1), 1, layout)
+    rows = _block_rows(i, 0, block[:ones] // (p + 1), 1, layout, tails)
     if ones < p:
-        rows += _block_rows(i, ones, block[ones:], p + 1, layout)
+        rows += _block_rows(i, ones, block[ones:], p + 1, layout, tails)
     return layout[2].join(rows)
 
 
@@ -162,8 +168,9 @@ def _constants_json_chunks(tensor):
     one chunk per i-block, so memory stays at O(p^2)."""
     p = tensor.p
     yield f'{{\n  "p": {p},\n  "rows": [\n'
+    tails = {}
     for i in range(p):
-        text = _block_text(tensor, i, _JSON_LAYOUT)
+        text = _block_text(tensor, i, _JSON_LAYOUT, tails)
         yield text if i == 0 else ",\n" + text
     yield "\n  ]\n}\n"
 
@@ -178,8 +185,8 @@ def cmd_constants(args) -> int:
         _emit(_constants_json_chunks(tensor), args.output)
     else:
         # one chunk per i-block keeps the text in memory at O(p^2)
-        header = "i,j,k,numerator,denominator\n"
-        _emit(((header if i == 0 else "") + _block_text(tensor, i, _CSV_LAYOUT)
+        header, tails = "i,j,k,numerator,denominator\n", {}
+        _emit(((header if i == 0 else "") + _block_text(tensor, i, _CSV_LAYOUT, tails)
                for i in range(p)), args.output)
     return EXIT_OK
 
@@ -312,7 +319,8 @@ def cmd_scan(args) -> int:
     # the fork pool starts every worker at the first submit
     workers = min(args.jobs, _usable_cores(), len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
+        with pool_class(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, tasks))
     else:
         rows = [_scan_row(t) for t in tasks]
@@ -320,6 +328,17 @@ def cmd_scan(args) -> int:
     _emit([_csv_text(SCAN_HEADER, rows)], args.output)
     print(f"max tau_over_p = {fmt(max(r[5] for r in rows))}", file=sys.stderr)
     return EXIT_OK
+
+
+def __getattr__(name):
+    """Import ``ProcessPoolExecutor`` on first access, since only a
+    ``scan`` that forks needs it and ``multiprocessing`` would slow every
+    start-up. ``cmd_scan`` reads it from the module, so a caller may set
+    ``cli.ProcessPoolExecutor`` to a pool of its own."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _usable_cores() -> int:

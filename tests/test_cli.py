@@ -575,6 +575,23 @@ def test_scan_jobs_defaults_to_the_usable_cores(monkeypatch):
     assert args.jobs == 3
 
 
+def test_start_up_leaves_the_process_pool_unimported():
+    # a fresh interpreter: ``pool_sizes`` leaves the pool a real global here
+    probe = (
+        "import sys\n"
+        "import circlewalk.cli as cli\n"
+        "cli.build_parser()\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+        " & set(sys.modules)))\n"
+        "import concurrent.futures\n"
+        "print(cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=CLI_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\nTrue\n"
+
+
 def test_output_file_roundtrip(tmp_path, capsys):
     target = tmp_path / "tensor.csv"
     code, out, _ = run(capsys, "constants", "--p", "7", "--output", str(target))

@@ -5,7 +5,9 @@
 per-row path it replaced: one tuple per row, written by ``csv.writer``
 through ``cli.fmt`` for CSV and by ``_JSON_ROW % row`` for JSON. Both
 outputs must match byte for byte, on the real tensor and on tensors whose
-numerators were overwritten with arbitrary integers.
+numerators were overwritten with arbitrary integers. The export sorts a
+block (``np.unique``) only when its values span p or more integers, which
+no real block does, so the fixed extreme cases also count the sorts.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import csv
 import io
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,10 +94,9 @@ def tampered_cells(draw):
     return p, {cell: draw(value) for cell in cells}
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=tampered_cells(), fmt_name=st.sampled_from(sorted(ORACLES)))
-def test_tampered_numerators_print_like_the_oracle(case, fmt_name):
-    p, cells = case
+def assert_tampered_export_is_the_oracle(p, cells, fmt_name):
+    """Overwrite the numerators at ``cells`` ({(i, j, k): value}) and
+    compare the export with the oracle on the same tampered tensor."""
     original = StructureTensor.numerators
 
     def tampered(self, i):
@@ -107,3 +109,36 @@ def test_tampered_numerators_print_like_the_oracle(case, fmt_name):
     with mock.patch.object(StructureTensor, "numerators", tampered):
         expected = ORACLES[fmt_name](StructureTensor(make_modulus(p)))
         assert export(p, fmt_name) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tampered_cells(), fmt_name=st.sampled_from(sorted(ORACLES)))
+def test_tampered_numerators_print_like_the_oracle(case, fmt_name):
+    assert_tampered_export_is_the_oracle(*case, fmt_name)
+
+
+# the real values of p = 7 lie in 0..8, and in 0..2 off the identity
+# rows; each case names its cells and how many blocks the export sorts
+EXTREME_CASES = {
+    # the span 2^64 - 1 of one body block overflows int64
+    "int64_ends_in_one_block": ({(3, 2, 1): -(2**63), (3, 5, 6): 2**63 - 1}, 1),
+    "identity_row_ends": ({(4, 0, 2): 7 + 1, (4, 0, 5): 2**63 - 1}, 1),
+    "span_of_p": ({(2, 1, 0): -1, (2, 6, 6): 7 - 1}, 1),
+    "span_of_p_minus_1": ({(5, 1, 0): -1, (5, 6, 6): 7 - 2}, 0),
+}
+
+
+@pytest.mark.parametrize("fmt_name", sorted(ORACLES))
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_extreme_numerators_print_like_the_oracle(case, fmt_name):
+    cells, sorts = EXTREME_CASES[case]
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        assert_tampered_export_is_the_oracle(7, cells, fmt_name)
+    assert unique.call_count == sorts
+
+
+@pytest.mark.parametrize("fmt_name", sorted(ORACLES))
+def test_no_real_block_is_sorted(fmt_name):
+    expected = ORACLES[fmt_name](StructureTensor(make_modulus(19)))
+    with mock.patch.object(np, "unique", side_effect=AssertionError("sorted")):
+        assert export(19, fmt_name) == expected
