@@ -61,16 +61,10 @@ class PathConstructionFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Descending spectrum of the symmetrized kernel.
-
-    ``alpha_star`` is the spectral radius away from the top eigenvalue:
-    max(lambda_1, |lambda_min|) with 0-based descending indexing, and
-    ``gap`` is 1 - lambda_1.
-    """
+    """Descending spectrum of the symmetrized kernel, with 0-based
+    descending indexing: ``eigenvalues[0]`` is 1."""
 
     eigenvalues: np.ndarray
-    alpha_star: float
-    gap: float
 
     @property
     def lambda1(self) -> float:
@@ -80,6 +74,17 @@ class SpectrumReport:
     def lambda_min(self) -> float:
         return float(self.eigenvalues[-1])
 
+    @property
+    def alpha_star(self) -> float:
+        """Spectral radius away from the top eigenvalue:
+        max(lambda_1, |lambda_min|)."""
+        return float(max(self.eigenvalues[1], abs(self.eigenvalues[-1])))
+
+    @property
+    def gap(self) -> float:
+        """Spectral gap 1 - lambda_1."""
+        return float(1.0 - self.eigenvalues[1])
+
 
 def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     """All eigenvalues of the kernel, via its symmetrization.
@@ -88,9 +93,9 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     computed here as sqrt(K(x,y) K(y,x)), which is symmetric in float64 by
     construction and equal to the conjugated kernel under reversibility.
     """
-    check = detailed_balance(kernel)
-    if not check.ok:
-        raise NotReversible(f"detailed balance fails at pair {check.witness}")
+    witness = detailed_balance(kernel)
+    if witness is not None:
+        raise NotReversible(f"detailed balance fails at pair {witness}")
     k = kernel.matrix
     sym = np.sqrt(k * k.T)
     # eigh, not eigvalsh: their last bits differ, and scan output pins eigh's
@@ -99,16 +104,7 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
         raise ValueError(f"top eigenvalue {evals[0]} is not 1")
     if evals[-1] < -1 - 1e-9:
         raise ValueError("eigenvalue outside [-1, 1]")
-    alpha_star = float(max(evals[1], abs(evals[-1]))) if len(evals) > 1 else 1.0
-    return SpectrumReport(
-        eigenvalues=evals,
-        alpha_star=alpha_star,
-        gap=float(1.0 - evals[1]) if len(evals) > 1 else 0.0,
-    )
-
-
-def _support_pairs(kernel: StochasticKernel) -> np.ndarray:
-    return kernel.scaled > 0
+    return SpectrumReport(evals)
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,10 @@ class ComparisonBound:
     """
 
     A: float
-    alpha1_upper: float
+
+    @property
+    def alpha1_upper(self) -> float:
+        return 1.0 - 1.0 / self.A
 
 
 def comparison_bound(kernel: StochasticKernel) -> ComparisonBound:
@@ -154,7 +153,7 @@ def comparison_bound(kernel: StochasticKernel) -> ComparisonBound:
     used = np.flatnonzero(congestion > 0)
     z, w = np.divmod(used, p)
     a = float((congestion[used] / (pi[z] * kernel.matrix[z, w])).max())
-    return ComparisonBound(A=a, alpha1_upper=1.0 - 1.0 / a)
+    return ComparisonBound(a)
 
 
 def default_paths(kernel: StochasticKernel) -> np.ndarray:
@@ -171,7 +170,7 @@ def default_paths(kernel: StochasticKernel) -> np.ndarray:
     intermediate of (y, x) is that of (x, y): the swapped pair's route is
     the reverse.
     """
-    support = _support_pairs(kernel)
+    support = kernel.scaled > 0
     p = kernel.p
     # mid[r, s]: smallest k with r -> k -> s on support edges, or -1;
     # row r reads both[s, k] = support[r, k] & support[k, s]
@@ -212,7 +211,10 @@ class OddCycleBound:
     """Odd-cycle congestion constant v and the bound lambda_min >= -1 + 2/v."""
 
     v: float
-    alpha_min_lower: float
+
+    @property
+    def alpha_min_lower(self) -> float:
+        return -1.0 + 2.0 / self.v
 
 
 def odd_cycle_bound(kernel: StochasticKernel) -> OddCycleBound:
@@ -234,7 +236,7 @@ def odd_cycle_bound(kernel: StochasticKernel) -> OddCycleBound:
             congestion[e] = congestion.get(e, 0.0) + weight
 
     v = float(max(congestion.values()))
-    return OddCycleBound(v=v, alpha_min_lower=-1.0 + 2.0 / v)
+    return OddCycleBound(v)
 
 
 def default_cycles(kernel: StochasticKernel) -> dict[int, tuple[int, ...]]:
@@ -244,7 +246,7 @@ def default_cycles(kernel: StochasticKernel) -> dict[int, tuple[int, ...]]:
     the lexicographically smallest vertex sequence at the first feasible
     length. Lengths beyond 5 are never needed for an ergodic circle walk.
     """
-    support = _support_pairs(kernel)
+    support = kernel.scaled > 0
     p = kernel.p
     s = support.astype(np.float32)
     # two-step walk counts are at most p < 2^24, so float32 BLAS is exact
@@ -284,29 +286,15 @@ def _five_edge_cycle(support: np.ndarray, x: int) -> tuple[int, ...]:
     raise NoOddCycle(f"no odd closed walk of length <= 5 through state {x}")
 
 
-@dataclass(frozen=True)
-class ClosedFormBounds:
-    """Reference constants: congestion A, cycle constant v, and the
-    eigenvalue bounds they imply."""
-
-    A: float
-    v: float
-    alpha1_upper: float
-    alpha_min_lower: float
-
-
-def closed_form_bounds(modulus: PrimeModulus) -> ClosedFormBounds:
-    """Worst-case constants 3(p+3)(p+1)^2 / p^2 and 63(p+1) with the
-    eigenvalue bounds 1 - 1/A and -1 + 2/v they induce."""
+def closed_form_bounds(
+    modulus: PrimeModulus,
+) -> tuple[ComparisonBound, OddCycleBound]:
+    """Worst-case constants A = 3(p+3)(p+1)^2 / p^2 and v = 63(p+1), as a
+    comparison and an odd-cycle bound, which give the eigenvalue bounds
+    1 - 1/A and -1 + 2/v."""
     p = modulus.p
-    a_ref = 3 * (p + 3) * (p + 1) ** 2 / p**2
-    v_ref = 63 * (p + 1)
-    return ClosedFormBounds(
-        A=a_ref,
-        v=v_ref,
-        alpha1_upper=1.0 - 1.0 / a_ref,
-        alpha_min_lower=-1.0 + 2.0 / v_ref,
-    )
+    return (ComparisonBound(3 * (p + 3) * (p + 1) ** 2 / p**2),
+            OddCycleBound(63 * (p + 1)))
 
 
 def spectral_tv_bound(report: SpectrumReport, t: int) -> float:
@@ -356,9 +344,16 @@ class CouplingBound:
     p: int
     epsilon: float
     n: int
-    tau_bound: int
     closed_form_n: int
-    contraction: Fraction
+
+    @property
+    def tau_bound(self) -> int:
+        return 4 * self.n
+
+    @property
+    def contraction(self) -> Fraction:
+        """The four-step contraction factor 1 - p^2 (p-1) / (p+1)^4."""
+        return 1 - _minorization(self.p)
 
 
 def coupling_bound(
@@ -368,14 +363,7 @@ def coupling_bound(
     p = modulus.p
     n = smallest_contraction_power(p, epsilon)
     n8 = math.ceil((1 + math.log(2)) / _minorization(p))
-    return CouplingBound(
-        p=p,
-        epsilon=epsilon,
-        n=n,
-        tau_bound=4 * n,
-        closed_form_n=n8,
-        contraction=1 - _minorization(p),
-    )
+    return CouplingBound(p=p, epsilon=epsilon, n=n, closed_form_n=n8)
 
 
 @dataclass(frozen=True)
@@ -386,11 +374,14 @@ class MinorizationReport:
     ``all_positive`` records strict positivity of K^4.
     """
 
-    holds: bool
     min_ratio: Fraction
     claimed: Fraction
     witness: tuple[int, int] | None
     all_positive: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.min_ratio >= self.claimed
 
 
 def minorization_check(kernel: StochasticKernel) -> MinorizationReport:
@@ -412,12 +403,10 @@ def minorization_check(kernel: StochasticKernel) -> MinorizationReport:
     ratios = [Fraction(int(n), den4) / Fraction(int(w), p * p)
               for n, w in zip(e4.min(axis=0), stationary_numerators(p))]
     j = min(range(p), key=ratios.__getitem__)
-    holds = ratios[j] >= claimed
     return MinorizationReport(
-        holds=holds,
         min_ratio=ratios[j],
         claimed=claimed,
-        witness=None if holds else (int(e4[:, j].argmin()), j),
+        witness=None if ratios[j] >= claimed else (int(e4[:, j].argmin()), j),
         all_positive=bool((e4 > 0).all()),
     )
 
@@ -460,7 +449,7 @@ def bound_report(
     spectral = spectrum(kernel)
     comp = comparison_bound(kernel)
     cyc = odd_cycle_bound(kernel)
-    closed = closed_form_bounds(modulus)
+    comp_closed, cyc_closed = closed_form_bounds(modulus)
     coup = coupling_bound(modulus, epsilon)
     return BoundReport(
         p=modulus.p,
@@ -469,8 +458,8 @@ def bound_report(
         alpha_star=spectral.alpha_star,
         comparison_A=comp.A,
         v=cyc.v,
-        alpha1_upper_closed=closed.alpha1_upper,
-        alpha_min_lower_closed=closed.alpha_min_lower,
+        alpha1_upper_closed=comp_closed.alpha1_upper,
+        alpha_min_lower_closed=cyc_closed.alpha_min_lower,
         coupling_n=coup.n,
         coupling_tau=coup.tau_bound,
         tau_measured=mixing.tau,

@@ -86,8 +86,7 @@ class StructureTensor:
     """
 
     def __init__(self, modulus: PrimeModulus):
-        self.modulus = modulus
-        p = modulus.p
+        p = self.p = modulus.p
         j, k = np.ogrid[:p, :p]
         v = (j - (k - 1 - j) ** 2 * pow(4, -1, p)) % p
         n1 = np.where(square_table(p)[v], 2, 0)
@@ -97,10 +96,6 @@ class StructureTensor:
         n1[0, 1] = p + 1
         n1.setflags(write=False)
         self.n1 = n1
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
 
     def constant(self, i: int, j: int, k: int) -> Fraction:
         """n_ij^k as an exact rational."""
@@ -186,9 +181,13 @@ class AxiomCheck:
     None for the other axioms."""
 
     name: str
-    passed: bool
     witness: tuple[int, ...] | None = None
     method: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        """Whether the axiom holds: it has no witness."""
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -221,12 +220,6 @@ def _first_witness(bad: np.ndarray, *index: int) -> tuple[int, ...] | None:
     if not bad.any():  # much cheaper than argwhere on a clean mask
         return None
     return (*index, *(int(v) for v in np.argwhere(bad)[0]))
-
-
-def _check(name: str, witness: tuple[int, ...] | None,
-           method: str | None = None) -> AxiomCheck:
-    """The check ``name``, passed unless it has a witness."""
-    return AxiomCheck(name, witness is None, witness, method)
 
 
 def exact_dtype(bound: int) -> type:
@@ -384,22 +377,22 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
             certified = np.array_equal(a @ b, b @ a)
 
     if certified and c1_generates(n1):
-        commutativity = _check("commutativity", None)
-        associativity = _check("associativity", None, "generator-commutant")
+        commutativity = AxiomCheck("commutativity")
+        associativity = AxiomCheck("associativity", None, "generator-commutant")
     else:
         e = tensor.scaled_table()
-        commutativity = _check(
+        commutativity = AxiomCheck(
             "commutativity", _first_witness(e != e.transpose(1, 0, 2))
         )
-        associativity = _check(
+        associativity = AxiomCheck(
             "associativity", associativity_witness(e, contraction_dtype(e)),
             "exhaustive",
         )
 
     return AxiomReport(
-        _check("positivity", positivity),
-        _check("normalization", normalization),
+        AxiomCheck("positivity", positivity),
+        AxiomCheck("normalization", normalization),
         commutativity,
-        _check("hermitian_support", hermitian),
+        AxiomCheck("hermitian_support", hermitian),
         associativity,
     )

@@ -114,24 +114,29 @@ def _write(args, obj, header: list[str], rows) -> None:
         _emit([_csv_text(header, rows)], args.output)
 
 
-# each format prints an export row (i, j, k, numerator, denominator) as
-# head % (i, j) + tail % (k, numerator, denominator) and joins rows by sep;
-# the JSON row is laid out as json.dumps(..., indent=2) lays it out in "rows"
-_CSV_LAYOUT = ("%d,%d,", "%d,%d,%d\n", "")
-_JSON_LAYOUT = ("    [\n      %d,\n      %d,\n",
-                "      %d,\n      %d,\n      %d\n    ]", ",\n")
+# each format prints the export as start % {"p": p}, then every row
+# (i, j, k, numerator, denominator) as head % (i, j) + tail % (k,
+# numerator, denominator), rows joined by sep, then end; the JSON is laid
+# out as json.dumps({"p": p, "rows": rows}, indent=2) + "\n" lays it out
+_LAYOUTS = {
+    "csv": ("i,j,k,numerator,denominator\n", "%d,%d,", "%d,%d,%d\n", "", ""),
+    "json": ('{\n  "p": %(p)d,\n  "rows": [\n',
+             "    [\n      %d,\n      %d,\n",
+             "      %d,\n      %d,\n      %d\n    ]", ",\n", "\n  ]\n}\n"),
+}
 
 
-def _block_rows(i: int, j0: int, num, den: int, layout, tails) -> list[str]:
-    """Text of the export rows j0, j0 + 1, ... of the i-block, whose
-    numerators ``num`` (one row per j, one column per k) are over ``den``.
+def _block_rows(rows: list, i: int, j0: int, num, den: int, layout, tails) -> None:
+    """Append to ``rows`` the text of the export rows j0, j0 + 1, ... of
+    the i-block, whose numerators ``num`` (one row per j, one column per
+    k) are over ``den``.
 
     ``tails`` maps (value, den) to that value's tail strings, one per k,
     and lives for one export, so each is formatted once. A real block's
     values span fewer than p integers, and it indexes them by num - min;
     only a tampered table spans more, and finds its values by a sort.
     """
-    head, tail, sep = layout
+    _, head, tail, sep, _ = layout
     p = num.shape[1]
     lo, hi = int(num.min()), int(num.max())  # hi - lo can overflow int64
     if hi - lo < p:
@@ -143,36 +148,33 @@ def _block_rows(i: int, j0: int, num, den: int, layout, tails) -> list[str]:
         if (v, den) not in tails:
             tails[v, den] = [tail % (k, v, den) for k in range(p)]
     table = np.array([tails[v, den] for v in values], dtype=object)
-    rows = []
     for j, texts in enumerate(table[index, np.arange(p)].tolist(), j0):
         h = head % (i, j)
         rows.append(h + (sep + h).join(texts))
-    return rows
 
 
-def _block_text(tensor, i: int, layout, tails) -> str:
-    """Text of the i-block's export rows: the identity rows (a zero index)
-    print the integer numerator // (p + 1) over 1, the others the
+def _export_chunks(tensor, layout):
+    """The export text in the ``_LAYOUTS`` entry ``layout``, one chunk
+    per i-block, so memory stays at O(p^2). The identity rows (a zero
+    index) print the integer numerator // (p + 1) over 1, the others the
     numerator over p + 1."""
+    start, _, _, sep, end = layout
     p = tensor.p
-    block = tensor.numerators(i)
-    ones = p if i == 0 else 1  # rows j < ones are identity rows
-    rows = _block_rows(i, 0, block[:ones] // (p + 1), 1, layout, tails)
-    if ones < p:
-        rows += _block_rows(i, ones, block[ones:], p + 1, layout, tails)
-    return layout[2].join(rows)
-
-
-def _constants_json_chunks(tensor):
-    """The text of json.dumps({"p": p, "rows": rows}, indent=2) + "\n",
-    one chunk per i-block, so memory stays at O(p^2)."""
-    p = tensor.p
-    yield f'{{\n  "p": {p},\n  "rows": [\n'
     tails = {}
     for i in range(p):
-        text = _block_text(tensor, i, _JSON_LAYOUT, tails)
-        yield text if i == 0 else ",\n" + text
-    yield "\n  ]\n}\n"
+        block = tensor.numerators(i)
+        ones = p if i == 0 else 1  # rows j < ones are identity rows
+        # a later block's rows join onto "", so its text starts with sep
+        rows = [""] if i else []
+        _block_rows(rows, i, 0, block[:ones] // (p + 1), 1, layout, tails)
+        if ones < p:
+            _block_rows(rows, i, ones, block[ones:], p + 1, layout, tails)
+        text = sep.join(rows)
+        del block, rows  # only the text is held while it is written
+        # block 0 carries the start: a small first write would be copied
+        # again with the second
+        yield text if i else start % {"p": p} + text
+    yield end
 
 
 def cmd_constants(args) -> int:
@@ -181,13 +183,7 @@ def cmd_constants(args) -> int:
     if p > EXPORT_GATE and not args.force:
         raise _UsageError(f"p={p} exceeds the export gate {EXPORT_GATE}; use --force")
     tensor = circles_mod.StructureTensor(modulus)
-    if args.format == "json":
-        _emit(_constants_json_chunks(tensor), args.output)
-    else:
-        # one chunk per i-block keeps the text in memory at O(p^2)
-        header, tails = "i,j,k,numerator,denominator\n", {}
-        _emit(((header if i == 0 else "") + _block_text(tensor, i, _CSV_LAYOUT, tails)
-               for i in range(p)), args.output)
+    _emit(_export_chunks(tensor, _LAYOUTS[args.format]), args.output)
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circles import StructureTensor, circle_points, exact_dtype
+from .circles import StructureTensor, _first_witness, circle_points, exact_dtype
 from .modular import PrimeModulus
 
 DEFAULT_EPSILON = 1 / (2 * math.e)
@@ -49,24 +49,28 @@ class StochasticKernel:
     """Row-stochastic matrix stored as integer numerators over a common
     denominator, with an eagerly built float64 projection.
 
-    Exactness of row sums is checked at construction.
+    The denominator is the rows' common total, read off row 0; every
+    other row is checked to total the same at construction.
     """
 
-    __slots__ = ("p", "scaled", "denominator", "generator", "matrix")
+    __slots__ = ("p", "scaled", "denominator", "matrix")
 
-    def __init__(self, scaled: np.ndarray, denominator: int,
-                 generator: int | None = None):
+    def __init__(self, scaled: np.ndarray):
         scaled = np.asarray(scaled)
         if scaled.ndim != 2 or scaled.shape[0] != scaled.shape[1]:
             raise ValueError("kernel must be square")
+        if scaled.size == 0:
+            raise ValueError("kernel must have a state")
         if not np.issubdtype(scaled.dtype, np.integer):
             raise ValueError("scaled entries must be integers")
         scaled = scaled.astype(np.int64)
         if (scaled < 0).any():
             raise ValueError("negative kernel entry")
+        totals = scaled.sum(axis=1)
+        denominator = int(totals[0])
         if denominator <= 0:
-            raise ValueError("denominator must be positive")
-        bad = scaled.sum(axis=1) != denominator
+            raise ValueError("row 0 must have a positive total")
+        bad = totals != denominator
         if bad.any():
             raise ValueError(f"row {int(np.argmax(bad))} does not sum to 1")
         scaled.setflags(write=False)
@@ -75,7 +79,6 @@ class StochasticKernel:
         object.__setattr__(self, "p", scaled.shape[0])
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):
@@ -85,7 +88,7 @@ class StochasticKernel:
         return Fraction(int(self.scaled[i, j]), self.denominator)
 
     def __repr__(self) -> str:
-        return f"StochasticKernel(p={self.p}, generator={self.generator})"
+        return f"StochasticKernel(p={self.p})"
 
 
 def build_kernel(modulus: PrimeModulus) -> StochasticKernel:
@@ -94,7 +97,7 @@ def build_kernel(modulus: PrimeModulus) -> StochasticKernel:
     m != 0, is this kernel relabelled by k -> k/m (its numerators are
     ``numerators(m)``), so every generator has the same mixing time,
     spectrum and bounds."""
-    return StochasticKernel(StructureTensor(modulus).n1, modulus.p + 1, generator=1)
+    return StochasticKernel(StructureTensor(modulus).n1)
 
 
 def stationary_numerators(p: int) -> np.ndarray:
@@ -117,53 +120,43 @@ def stationary(modulus: PrimeModulus) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(w), p * p) for w in stationary_numerators(p))
 
 
-@dataclass(frozen=True)
-class BalanceCheck:
-    """Result of an exact detailed-balance check, with first violation."""
-
-    ok: bool
-    witness: tuple[int, int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def detailed_balance(kernel: StochasticKernel) -> BalanceCheck:
+def detailed_balance(kernel: StochasticKernel) -> tuple[int, int] | None:
     """Exact check of pi(x) K(x, y) == pi(y) K(y, x) for all pairs, with
-    pi the invariant law of the kernel's state count.
+    pi the invariant law of the kernel's state count: the first violating
+    (x, y), or None when balance holds.
 
     This compares the integer fluxes num(x) * scaled(x, y), num =
     ``stationary_numerators(p)`` (the denominator p^2 cancels), with their
-    transpose, in the dtype ``exact_dtype`` allows; the witness is the
-    first violating (x, y) with x < y in row-major order.
+    transpose, in the dtype ``exact_dtype`` allows; the mismatch mask is
+    symmetric with a false diagonal, so its first hit in row-major order
+    has x < y.
     """
     num = stationary_numerators(kernel.p)
     dtype = exact_dtype(int(num.max()) * int(kernel.scaled.max()))
     flux = num.astype(dtype)[:, None] * kernel.scaled.astype(dtype)
-    # symmetric with a false diagonal: the first hit in row-major order
-    # has x < y
-    bad = np.argwhere(flux != flux.T)
-    if bad.size:
-        return BalanceCheck(False, (int(bad[0, 0]), int(bad[0, 1])))
-    return BalanceCheck(True)
+    return _first_witness(flux != flux.T)
 
 
 @dataclass(frozen=True)
 class MixingReport:
-    """Worst-start mixing measurement: threshold, crossing time, TV curve.
+    """Worst-start mixing measurement: threshold and TV curve, whose last
+    step is the crossing time ``tau``.
 
     ``tv_curve[t]`` is the total variation to the invariant law after t
     steps from circle 0, the worst starting circle.
     """
 
     epsilon: float
-    tau: int
     tv_curve: tuple[float, ...]
+
+    @property
+    def tau(self) -> int:
+        return len(self.tv_curve) - 1
 
     def __post_init__(self):
         curve = self.tv_curve
-        if len(curve) != self.tau + 1:
-            raise ValueError("curve must cover steps 0..tau")
+        if not curve:
+            raise ValueError("curve must cover step 0")
         for a, b in zip(curve, curve[1:]):
             if b > a + 1e-12:
                 raise ValueError("worst-case TV curve must be non-increasing")
@@ -187,8 +180,10 @@ def mixing_time(
     distance from it. Projecting to circles cannot increase TV. From the
     origin both laws are constant on each circle (the rotations fixing
     x^2 + y^2 fix C_m and act transitively on every circle), so there the
-    projection loses nothing. Kernels without a generator are refused,
-    since the proof needs the plane walk.
+    projection loses nothing. The proof needs the plane walk, so a kernel
+    is refused unless row 0 is a point mass on a nonzero circle, as the
+    row of every circle walk is (n_0g^k = [k == g]): a necessary
+    condition, not a sufficient one.
 
     The loop stops on what it measures. The TV to the invariant law never
     increases along a Markov chain (Levin, Peres and Wilmer, *Markov
@@ -196,8 +191,11 @@ def mixing_time(
     float TV means it has hit float64's floor; ``NotMixed`` is raised
     there, with the curve measured so far.
     """
-    if kernel.generator is None:
-        raise ValueError("mixing_time needs a walk kernel with a generator")
+    row0 = np.flatnonzero(kernel.scaled[0])
+    if row0.size != 1 or row0[0] == 0:
+        raise ValueError(
+            "mixing_time needs a walk kernel: row 0 is not a point mass "
+            "on a nonzero circle")
     if not 0 < epsilon < 1:
         raise BadEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
 
@@ -209,7 +207,7 @@ def mixing_time(
     for t in itertools.count():
         curve.append(float(0.5 * np.abs(row - pi).sum()))
         if curve[-1] <= epsilon:
-            return MixingReport(epsilon, t, tuple(curve))
+            return MixingReport(epsilon, tuple(curve))
         if t > 0 and curve[-1] >= curve[-2]:
             msg = f"worst TV stopped falling at {curve[-1]:.3e} > {epsilon}"
             raise NotMixed(f"{msg} after {t} steps", tuple(curve))

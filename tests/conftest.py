@@ -18,12 +18,12 @@ from circlewalk.walk import stationary_numerators
 def walk_kernel(tensor, m):
     """Kernel of the C_m walk, m != 0: the m-block of the tensor, which
     is the C_1 kernel relabelled by k -> k/m."""
-    return StochasticKernel(tensor.numerators(m), tensor.p + 1, generator=m)
+    return StochasticKernel(tensor.numerators(m))
 
 
 def equilibrium_kernel(p):
     """The rank-one chain on p states whose every row is the invariant law."""
-    return StochasticKernel(np.tile(stationary_numerators(p), (p, 1)), p * p)
+    return StochasticKernel(np.tile(stationary_numerators(p), (p, 1)))
 
 
 @contextlib.contextmanager

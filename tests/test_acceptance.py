@@ -112,7 +112,7 @@ def test_criterion_03_stationary_distribution(chain):
             if image != pi[j]:
                 failures.append(f"p={p}: (pi K)[{j}] = {image} != {pi[j]}")
                 break
-        if not detailed_balance(kernel).ok:
+        if detailed_balance(kernel) is not None:
             failures.append(f"p={p}: detailed balance fails")
     verbatim = (Fraction(1, 49),) + (Fraction(8, 49),) * 6
     if chain(7)[3] != verbatim:
@@ -167,12 +167,12 @@ def test_criterion_06_spectral_bounds(chain, spectra):
     for p in SPECTRAL_PRIMES:
         m, _, kernel, pi = chain(p)
         spectral = spectra[p]
-        cf = closed_form_bounds(m)
-        if spectral.lambda1 > cf.alpha1_upper + 1e-9:
-            failures.append(f"p={p}: lambda1 {spectral.lambda1} > {cf.alpha1_upper}")
-        if spectral.lambda_min < cf.alpha_min_lower - 1e-9:
+        comp_cf, cyc_cf = closed_form_bounds(m)
+        if spectral.lambda1 > comp_cf.alpha1_upper + 1e-9:
+            failures.append(f"p={p}: lambda1 {spectral.lambda1} > {comp_cf.alpha1_upper}")
+        if spectral.lambda_min < cyc_cf.alpha_min_lower - 1e-9:
             failures.append(
-                f"p={p}: lambda_min {spectral.lambda_min} < {cf.alpha_min_lower}"
+                f"p={p}: lambda_min {spectral.lambda_min} < {cyc_cf.alpha_min_lower}"
             )
         comp = comparison_bound(kernel)
         if spectral.lambda1 > comp.alpha1_upper + 1e-9:

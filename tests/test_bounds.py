@@ -35,7 +35,7 @@ from conftest import equilibrium_kernel
 
 
 def identity_kernel(p):
-    return StochasticKernel(np.eye(p, dtype=np.int64), 1)
+    return StochasticKernel(np.eye(p, dtype=np.int64))
 
 
 def test_spectrum_top_eigenvalue(chain):
@@ -62,7 +62,7 @@ def test_spectrum_p7_second_eigenvalue_bound(chain):
 
 def test_spectrum_rejects_non_reversible():
     # a rotation of the circles: K(x, x + 1) = 1 but K(x + 1, x) = 0
-    rotation = StochasticKernel(np.roll(np.eye(7, dtype=np.int64), 1, axis=1), 1)
+    rotation = StochasticKernel(np.roll(np.eye(7, dtype=np.int64), 1, axis=1))
     with pytest.raises(NotReversible,
                        match=r"^detailed balance fails at pair \(0, 1\)$"):
         spectrum(rotation)
@@ -142,7 +142,7 @@ def test_comparison_equilibrium_with_default_paths(chain):
     for p in [7, 11, 19]:
         m, _, k, pi = chain(p)
         comp = comparison_bound(k)
-        assert [f.name for f in fields(comp)] == ["A", "alpha1_upper"]
+        assert [f.name for f in fields(comp)] == ["A"]
         assert comp.A > 1
         assert comp.alpha1_upper == 1.0 - 1.0 / comp.A
         spectral = spectrum(k)
@@ -249,20 +249,20 @@ def test_odd_cycle_bound_validates_spectrum(chain):
 
 
 def test_closed_form_values_p7():
-    cf = closed_form_bounds(make_modulus(7))
-    assert cf.alpha1_upper == pytest.approx(1 - 49 / 1920)
-    assert cf.alpha_min_lower == pytest.approx(-1 + 2 / 504)
-    assert cf.A == pytest.approx(3 * 10 * 64 / 49)
-    assert cf.v == 63 * 8
+    comp, cyc = closed_form_bounds(make_modulus(7))
+    assert comp.alpha1_upper == pytest.approx(1 - 49 / 1920)
+    assert cyc.alpha_min_lower == pytest.approx(-1 + 2 / 504)
+    assert comp.A == pytest.approx(3 * 10 * 64 / 49)
+    assert cyc.v == 63 * 8
 
 
 def test_closed_forms_hold_for_spectrum(chain):
     for p in [7, 11, 19, 23]:
         m, _, k, pi = chain(p)
         spectral = spectrum(k)
-        cf = closed_form_bounds(m)
-        assert spectral.lambda1 <= cf.alpha1_upper + 1e-9
-        assert spectral.lambda_min >= cf.alpha_min_lower - 1e-9
+        comp, cyc = closed_form_bounds(m)
+        assert spectral.lambda1 <= comp.alpha1_upper + 1e-9
+        assert spectral.lambda_min >= cyc.alpha_min_lower - 1e-9
 
 
 def test_spectral_tv_bound_examples(chain):
@@ -386,7 +386,7 @@ def test_minorization_witness_on_a_lazy_kernel(chain, denominator, dtype):
     _, _, _, pi = chain(7)
     # a walk that never moves: K^4 = I, so every column's smallest ratio
     # is 0, first reached in column 0 at row 1
-    lazy = StochasticKernel(denominator * np.eye(7, dtype=np.int64), denominator)
+    lazy = StochasticKernel(denominator * np.eye(7, dtype=np.int64))
     assert exact_dtype(denominator**4) is dtype
     report = minorization_check(lazy)
     assert (report.holds, report.min_ratio, report.witness) == (False, 0, (1, 0))
@@ -396,9 +396,9 @@ def test_minorization_witness_on_a_lazy_kernel(chain, denominator, dtype):
 def test_bound_report_invariants(chain):
     m, _, _, _ = chain(7)
     report = bound_report(m)
-    closed = closed_form_bounds(m)
-    assert report.alpha1_upper_closed == closed.alpha1_upper
-    assert report.alpha_min_lower_closed == closed.alpha_min_lower
+    comp, cyc = closed_form_bounds(m)
+    assert report.alpha1_upper_closed == comp.alpha1_upper
+    assert report.alpha_min_lower_closed == cyc.alpha_min_lower
     assert report.coupling_tau == 4 * report.coupling_n
     assert report.tau_measured == 4
     keys = [f.name for f in fields(BoundReport)]

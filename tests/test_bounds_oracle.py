@@ -70,7 +70,7 @@ def paths_loop(kernel):
     x, k, y between nonzero circles, k the smallest intermediate; the
     swapped pair takes the route reversed."""
     support = kernel.scaled > 0
-    p, g = kernel.p, kernel.generator
+    p, g = kernel.p, int(np.flatnonzero(kernel.scaled[0])[0])
     paths = {}
     for r in range(p):
         for s in range(r + 1, p):

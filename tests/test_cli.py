@@ -163,7 +163,7 @@ def test_axioms_past_199_reaches_the_check(capsys, monkeypatch):
 
     names = ["positivity", "normalization", "commutativity",
              "hermitian_support", "associativity"]
-    canned = AxiomReport(*(AxiomCheck(n, True) for n in names))
+    canned = AxiomReport(*(AxiomCheck(n) for n in names))
     seen = []
 
     def fake_validate(tensor):

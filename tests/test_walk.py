@@ -47,6 +47,34 @@ def test_kernel_invariants(chain):
     assert set(np.unique(k.scaled[1:])) <= {0, 1, 2}
     assert k.scaled[0, 1] == 12
     assert (k.scaled >= 0).all()
+    assert k.denominator == 12  # the rows' common total
+
+
+@pytest.mark.parametrize("scaled, message", [
+    (np.ones((2, 3), dtype=np.int64), "kernel must be square"),
+    (np.zeros((0, 0), dtype=np.int64), "kernel must have a state"),
+    (np.eye(3), "scaled entries must be integers"),
+    (np.array([[2, 0], [3, -1]]), "negative kernel entry"),
+    (np.array([[0, 0], [1, 0]]), "row 0 must have a positive total"),
+    # rows 1 and 3 both differ from row 0's total; the first is named
+    (np.array([[2, 0, 0, 0], [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 3]]),
+     r"row 1 does not sum to 1"),
+])
+def test_kernel_refusals(scaled, message):
+    with pytest.raises(ValueError, match=message):
+        StochasticKernel(scaled)
+
+
+def test_kernel_reads_its_denominator_and_is_immutable():
+    k = StochasticKernel(np.array([[0, 3], [1, 2]], dtype=np.int32))
+    assert k.denominator == 3 and type(k.denominator) is int
+    assert k.exact(1, 1) == Fraction(2, 3)
+    assert k.matrix.tolist() == [[0.0, 1.0], [1 / 3, 2 / 3]]
+    with pytest.raises(AttributeError, match="immutable"):
+        k.denominator = 6
+    for array in (k.scaled, k.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
 
 
 @pytest.mark.parametrize("p", [7, 11, 19])
@@ -87,16 +115,16 @@ def test_stationary_invariant_for_every_generator(p, chain):
 
 def test_detailed_balance_examples(chain):
     _, _, k, _ = chain(7)
-    assert detailed_balance(k).ok
+    assert detailed_balance(k) is None
     # a rotation of the circles: K(x, x + 1) = 1 but K(x + 1, x) = 0
     rotation = np.roll(np.eye(7, dtype=np.int64), 1, axis=1)
-    assert detailed_balance(StochasticKernel(rotation, 1)).witness == (0, 1)
+    assert detailed_balance(StochasticKernel(rotation)) == (0, 1)
     # symmetric, so balanced for the uniform law but not for the invariant
     # law, whose null circle is lighter than the others
-    symmetric = StochasticKernel(np.eye(7, dtype=np.int64) + rotation + rotation.T, 3)
-    res = detailed_balance(symmetric)
-    assert not res.ok
-    assert 0 in res.witness  # violation involves the null-circle row
+    symmetric = StochasticKernel(np.eye(7, dtype=np.int64) + rotation + rotation.T)
+    witness = detailed_balance(symmetric)
+    assert witness is not None
+    assert 0 in witness  # violation involves the null-circle row
 
 
 def balance_witness_by_loop(kernel, w):
@@ -124,11 +152,10 @@ def test_detailed_balance_witness_matches_the_fraction_loop(chain, p, data):
         source = data.draw(st.sampled_from(np.flatnonzero(scaled[x]).tolist()))
         scaled[x, source] -= 1
         scaled[x, data.draw(st.integers(0, p - 1))] += 1
-    k = StochasticKernel(scaled, scale * (p + 1), generator=g)
-    check = detailed_balance(k)
+    k = StochasticKernel(scaled)
+    assert k.denominator == scale * (p + 1)
     law = stationary_numerators(p).tolist()
-    assert check.witness == balance_witness_by_loop(k, law)
-    assert check.ok == (check.witness is None)
+    assert detailed_balance(k) == balance_witness_by_loop(k, law)
 
 
 def test_mixing_time_eps_one(chain):
@@ -194,6 +221,9 @@ def test_mixing_time_rejects_bad_input_before_iterating(monkeypatch):
         mixing_time(k, epsilon=0.0)
     with pytest.raises(ValueError, match="needs a walk kernel"):
         mixing_time(eq)
+    # row 0 of the identity is a point mass, but on circle 0
+    with pytest.raises(ValueError, match="needs a walk kernel"):
+        mixing_time(StochasticKernel(np.eye(7, dtype=np.int64)))
 
 
 def test_mixing_report_invariants(chain):
@@ -213,7 +243,7 @@ def test_every_generator_kernel_is_stochastic_and_balanced(chain, p, data):
     k = walk_kernel(tensor, data.draw(st.integers(1, p - 1)))
     assert (k.scaled >= 0).all()
     assert (k.scaled.sum(axis=1) == k.denominator).all()
-    assert detailed_balance(k).ok
+    assert detailed_balance(k) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -228,9 +258,11 @@ def test_worst_tv_curve_never_increases(chain, p, data):
 
 def test_mixing_report_threshold_is_inclusive():
     curve = (1.0, 0.5, 0.25)
-    assert MixingReport(0.25, 2, curve).tau == 2
+    assert MixingReport(0.25, curve).tau == 2
     with pytest.raises(ValueError, match="already met before tau"):
-        MixingReport(0.5, 2, curve)
+        MixingReport(0.5, curve)
+    with pytest.raises(ValueError, match="cover step 0"):
+        MixingReport(0.5, ())
 
 
 def test_mixing_time_stops_where_tv_equals_epsilon(chain):
@@ -350,7 +382,6 @@ def test_every_walk_is_the_c1_walk_relabelled():
         m = make_modulus(p)
         tensor = StructureTensor(m)
         k1 = build_kernel(m)
-        assert k1.generator == 1
         for m in range(1, p):
             perm = np.arange(p) * pow(m, -1, p) % p
             assert np.array_equal(
