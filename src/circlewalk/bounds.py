@@ -27,6 +27,8 @@ computed ones.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,19 +94,97 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     Detailed balance makes sqrt(pi(x)/pi(y)) K(x, y) symmetric; it is
     computed here as sqrt(K(x,y) K(y,x)), which is symmetric in float64 by
     construction and equal to the conjugated kernel under reversibility.
+
+    The eigenvalues are bit for bit those of ``np.linalg.eigh``, without
+    its eigenvectors. ``eigh`` is LAPACK's dsyevd('V', 'L'). Unless the
+    largest |entry| lies outside [sqrt(safmin/eps), 1/sqrt(safmin/eps)],
+    where dsyevd first rescales, it makes three calls:
+
+    1. dsytrd('L') reduces the matrix to a tridiagonal T = Q^T A Q and
+       stores T's diagonal in the output W and its off-diagonal in E;
+    2. dstedc('I') runs divide and conquer on T: it overwrites W with T's
+       eigenvalues and writes T's eigenvectors into a work matrix;
+    3. dormtr multiplies that work matrix by Q. It reads Q and writes only
+       the vectors, so W is final after step 2.
+
+    ``_eigenvalues`` makes calls 1 and 2 on a copy of the same matrix,
+    with a workspace that gives dsytrd the same block size, so it returns
+    W. A matrix that dsyevd would rescale goes to ``eigh`` itself; a
+    reversible kernel's never does: its entries lie in [0, 1] and, since
+    its top eigenvalue is 1, the largest is at least 1/p. ``eigvalsh`` (dsyevd('N')) would not do: it runs dsterf
+    in place of dstedc, and its last bits differ.
     """
     witness = detailed_balance(kernel)
     if witness is not None:
         raise NotReversible(f"detailed balance fails at pair {witness}")
     k = kernel.matrix
     sym = np.sqrt(k * k.T)
-    # eigh, not eigvalsh: their last bits differ, and scan output pins eigh's
-    evals = np.linalg.eigh(sym)[0][::-1]
+    evals = _eigenvalues(sym)[::-1]
     if abs(evals[0] - 1.0) > 1e-9:
         raise ValueError(f"top eigenvalue {evals[0]} is not 1")
     if evals[-1] < -1 - 1e-9:
         raise ValueError("eigenvalue outside [-1, 1]")
     return SpectrumReport(evals)
+
+
+# dsyevd rescales a matrix whose largest |entry| is below this or above
+# its inverse: sqrt(safmin / eps), 2^-485 in float64
+_UNSCALED_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+
+
+def _eigenvalues(sym: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric float64 matrix ``sym``,
+    bit for bit ``np.linalg.eigh(sym)[0]``: dsytrd('L') and then
+    dstedc('I'), dsyevd without its back-transform (see ``spectrum``)."""
+    lapack = _lapack()
+    top = np.abs(sym).max()
+    if lapack is None or not _UNSCALED_MIN <= top <= 1 / _UNSCALED_MIN:
+        return np.linalg.eigh(sym)[0]
+    dsytrd, dstedc = lapack
+    n = len(sym)
+    a = np.array(sym, order="F")
+    d, e, tau, query = np.empty(n), np.empty(n), np.empty(n), np.empty(1)
+    _lapack_call(dsytrd, b"L", n, a, n, d, e, tau, query, -1)
+    # dsyevd hands dsytrd at least the optimal workspace that the query
+    # returns, n times the block size, so the two block alike; dstedc('I')
+    # needs 1 + 4n + n^2 and reads no more than that
+    work = np.empty(max(int(query[0]), 1 + 4 * n + n * n))
+    _lapack_call(dsytrd, b"L", n, a, n, d, e, tau, work, work.size)
+    z = np.empty((n, n), order="F")
+    iwork = np.empty(3 + 5 * n, dtype=np.int64)
+    _lapack_call(dstedc, b"I", n, d, e, z, n, work, work.size,
+                 iwork, iwork.size)
+    return d
+
+
+@functools.cache
+def _lapack():
+    """``dsytrd`` and ``dstedc`` of the LAPACK that ``numpy.linalg``
+    links, found once per process on first use, or None.
+
+    The extension module's handle resolves the symbols through its own
+    dependencies. Only the names of numpy's wheels are tried: scipy-openblas
+    with 64-bit integers, which the ``64_`` suffix fixes.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        return lib.scipy_dsytrd_64_, lib.scipy_dstedc_64_
+    except (ImportError, AttributeError, OSError):
+        return None
+
+
+def _lapack_call(routine, job: bytes, *args) -> None:
+    """Call a LAPACK routine by the Fortran ABI: ``job``, then ``args``
+    by reference (ints as 64-bit), then info and ``job``'s hidden length.
+    A nonzero info raises as ``eigh`` does."""
+    info = ctypes.c_int64()
+    refs = [arg.ctypes.data_as(ctypes.c_void_p) if isinstance(arg, np.ndarray)
+            else ctypes.byref(ctypes.c_int64(arg)) for arg in args]
+    routine(job, *refs, ctypes.pointer(info), ctypes.c_size_t(len(job)))
+    if info.value:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 @dataclass(frozen=True)

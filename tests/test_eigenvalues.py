@@ -1,0 +1,141 @@
+"""``spectrum`` reads its eigenvalues off LAPACK's dsytrd and dstedc,
+without the eigenvector back-transform, and they are ``eigh``'s bit for
+bit: at every walk the suite can afford, at one and two BLAS threads, on
+the ``eigh`` fallback, and with ``eigh``'s failure on nonconvergence."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import circlewalk.bounds as bounds_mod
+from circlewalk.bounds import _eigenvalues, spectrum
+from circlewalk.cli import main
+from circlewalk.modular import make_modulus, primes_3_mod_4
+from circlewalk.walk import build_kernel
+
+# a child interpreter that imports this checkout's package
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def eigh_oracle(kernel):
+    """The spectrum as ``eigh`` gives it, descending."""
+    k = kernel.matrix
+    return np.linalg.eigh(np.sqrt(k * k.T))[0][::-1]
+
+
+def lapack_or_skip():
+    lapack = bounds_mod._lapack()
+    if lapack is None:
+        pytest.skip("numpy.linalg does not link scipy-openblas here")
+    return lapack
+
+
+def test_the_route_finds_numpys_lapack():
+    # numpy's own wheels link scipy-openblas; elsewhere the fallback runs
+    try:
+        import numpy.linalg._umath_linalg as umath_linalg
+        from ctypes import CDLL
+
+        CDLL(umath_linalg.__file__).scipy_dsyevd_64_
+    except (ImportError, AttributeError, OSError):
+        pytest.skip("numpy.linalg does not link scipy-openblas here")
+    assert bounds_mod._lapack() is not None
+
+
+# p = 3..23 take dstedc's small-matrix QR branch, the rest divide and conquer
+@pytest.mark.parametrize("p", primes_3_mod_4(3, 499) + [1019])
+def test_spectrum_is_eighs_bit_for_bit(p):
+    kernel = build_kernel(make_modulus(p))
+    assert np.array_equal(spectrum(kernel).eigenvalues, eigh_oracle(kernel))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_spectrum_is_eighs_bit_for_bit_at_a_thread_count(threads):
+    # dstedc's merges run BLAS, whose thread count fixes the last bits;
+    # it is read once per process, so each count gets a fresh one
+    probe = (
+        "import numpy as np\n"
+        "from circlewalk import build_kernel, make_modulus, spectrum\n"
+        "k = build_kernel(make_modulus(499))\n"
+        "oracle = np.linalg.eigh(np.sqrt(k.matrix * k.matrix.T))[0][::-1]\n"
+        "print(np.array_equal(spectrum(k).eigenvalues, oracle))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env={**ENV, "OPENBLAS_NUM_THREADS": threads},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\n")
+
+
+@pytest.mark.parametrize("p", [3, 7, 103, 499])
+def test_the_eigh_fallback_gives_the_same_arrays(monkeypatch, p):
+    kernel = build_kernel(make_modulus(p))
+    routed = spectrum(kernel).eigenvalues
+    monkeypatch.setattr(bounds_mod, "_lapack", lambda: None)
+    assert np.array_equal(spectrum(kernel).eigenvalues, routed)
+    assert np.array_equal(routed, eigh_oracle(kernel))
+
+
+def test_a_matrix_dsyevd_rescales_goes_to_eigh(monkeypatch):
+    # dsyevd rescales below 2^-485 and above 2^485 before it reduces, so
+    # the route would not reproduce eigh's bits there; it must not run
+    def unreachable():
+        raise AssertionError("the LAPACK route ran on a rescaled matrix")
+
+    a = np.add.outer(np.arange(5.0), np.arange(5.0)) + np.eye(5)
+    expected = {scale: np.linalg.eigh(scale * a)[0]
+                for scale in (2.0**-500, 2.0**500, 0.0)}
+    monkeypatch.setattr(bounds_mod, "_lapack", lambda: (unreachable, unreachable))
+    for scale, evals in expected.items():
+        assert np.array_equal(_eigenvalues(scale * a), evals)
+
+
+def test_random_symmetric_matrices_match_eigh():
+    lapack_or_skip()
+    rng = np.random.default_rng(24)
+    for n in [1, 2, 3, 24, 25, 26, 31, 32, 33, 64, 65, 130]:
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        assert np.array_equal(_eigenvalues(a), np.linalg.eigh(a)[0]), n
+
+
+def test_nonconvergence_raises_as_eigh_and_exits_4(monkeypatch, capsys):
+    dsytrd, dstedc = lapack_or_skip()
+
+    def failing(*args):
+        # the arguments end with info and the job's hidden length
+        dstedc(*args)
+        args[-2].contents.value = 1
+
+    monkeypatch.setattr(bounds_mod, "_lapack", lambda: (dsytrd, failing))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^Eigenvalues did not converge$"):
+        spectrum(build_kernel(make_modulus(7)))
+    assert main(["spectrum", "--p", "7"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "internal error: Eigenvalues did not converge\n"
+
+
+def test_start_up_leaves_the_lapack_route_unlocated(tmp_path):
+    # a fresh interpreter: this one's other tests have located it
+    probe = (
+        "from circlewalk import bounds\n"
+        "from circlewalk.cli import build_parser, main\n"
+        f"out = {str(tmp_path / 'out')!r}\n"
+        "build_parser()\n"
+        "assert main(['axioms', '--p', '7', '--output', out]) == 0\n"
+        "assert main(['constants', '--p', '7', '--output', out]) == 0\n"
+        "print(bounds._lapack.cache_info().currsize)\n"
+        "assert main(['spectrum', '--p', '7', '--output', out]) == 0\n"
+        "print(bounds._lapack.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0\n1\n"

@@ -4,7 +4,8 @@ Every subcommand at p = 7 in both formats, the tensor export and the
 bounds at p = 103 in both formats, a seeded ``simulate`` and a small
 serial ``scan``: any byte that changes in a table fails here. The
 bytes are identical across reruns, and across ``--jobs``, in one
-environment. The floats come from numpy's ``eigh`` and matrix products,
+environment. The floats come from the eigenvalues of LAPACK's dsytrd
+and dstedc, which are ``eigh``'s bit for bit, and from matrix products,
 so they can move in their last digits with the BLAS library and with
 its thread count: ``scan --p-min 7 --p-max 499`` at two OpenBLAS
 threads instead of one differs from p = 211 up. The reference digests

@@ -4,7 +4,8 @@
 each workload in ``workloads``; it is only read here. Each workload runs
 as the console script runs, in a fresh interpreter on the checkout's
 ``src``, with BLAS held at one thread as the benchmark holds it: the
-``eigh`` floats in ``scan`` can move with the BLAS thread count.
+eigenvalue floats in ``scan``, ``eigh``'s bits from LAPACK's dsytrd and
+dstedc, can move with the BLAS thread count.
 """
 
 import hashlib
