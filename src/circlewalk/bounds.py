@@ -32,7 +32,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -111,8 +110,9 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     with a workspace that gives dsytrd the same block size, so it returns
     W. A matrix that dsyevd would rescale goes to ``eigh`` itself; a
     reversible kernel's never does: its entries lie in [0, 1] and, since
-    its top eigenvalue is 1, the largest is at least 1/p. ``eigvalsh`` (dsyevd('N')) would not do: it runs dsterf
-    in place of dstedc, and its last bits differ.
+    its top eigenvalue is 1, the largest is at least 1/p. ``eigvalsh``
+    (dsyevd('N')) would not do: it runs dsterf in place of dstedc, and
+    its last bits differ.
     """
     witness = detailed_balance(kernel)
     if witness is not None:
@@ -320,49 +320,45 @@ def odd_cycle_bound(kernel: StochasticKernel) -> OddCycleBound:
 
 
 def default_cycles(kernel: StochasticKernel) -> dict[int, tuple[int, ...]]:
-    """A shortest odd closed walk through every circle along walk edges.
+    """A shortest odd closed walk through every circle along walk edges
+    (``_odd_cycle``).
 
-    Checks a self-loop first, then triangles, then five-edge walks, taking
-    the lexicographically smallest vertex sequence at the first feasible
-    length. Lengths beyond 5 are never needed for an ergodic circle walk.
+    Every circle of the C_1 walk but 0 has a loop or a triangle, and 0
+    needs five edges exactly when p = 7 (mod 12); the tests check both up
+    to p = 499. The latter is proved: circle 0's only neighbour is 1, so
+    a triangle through 0 is 0, 1, 1, 0. Unit vectors u, v have
+    |u + v|^2 = 2 + 2 u . v, which is 1 exactly when, rotating u to
+    (1, 0), v = (-1/2, y) with y^2 = 3/4. So the loop at 1 exists exactly
+    when 3/4 is a square or 0 mod p; by quadratic reciprocity, for
+    p = 3 (mod 4) it fails exactly when p = 7 (mod 12).
     """
     support = kernel.scaled > 0
-    p = kernel.p
-    s = support.astype(np.float32)
-    # two-step walk counts are at most p < 2^24, so float32 BLAS is exact
-    two = (s @ s) > 0
-    # triangles x -> a -> b -> x: the first a, then the first b for that a
-    first = support & two.T
-    a = first.argmax(axis=1)
-    b = (support[a] & support.T).argmax(axis=1)
-    cycles: dict[int, tuple[int, ...]] = {}
-    for x in range(p):
-        if support[x, x]:
-            cycles[x] = (x, x)
-        elif first[x, a[x]]:
-            # without a loop at x, a != x and b != x, so the three edges
-            # (x, a), (a, b), (b, x) are distinct
-            cycles[x] = (x, int(a[x]), int(b[x]), x)
-        else:
-            cycles[x] = _five_edge_cycle(support, x)
-    return cycles
+    return {x: _odd_cycle(support, x) for x in range(kernel.p)}
 
 
-def _distinct_edges(seq: Sequence[int]) -> bool:
-    edges = list(zip(seq, seq[1:]))
-    return len(edges) == len(set(edges))
+def _odd_cycle(support: np.ndarray, x: int) -> tuple[int, ...]:
+    """The lexicographically smallest closed walk through ``x`` of 1, then
+    3, then 5 edges that repeats no edge: the first that a depth-first
+    search over successors in increasing order completes, whose last two
+    steps go to a predecessor of x and then to x."""
+    # ahead[left - 1]: where a step may go with ``left`` edges to walk
+    ahead = [np.arange(len(support)) == x, support[:, x]]
 
+    def search(walk: tuple[int, ...], left: int) -> tuple[int, ...] | None:
+        z = walk[-1]
+        steps = support[z] & ahead[left - 1] if left <= 2 else support[z]
+        for w in map(int, np.flatnonzero(steps)):
+            if (z, w) in zip(walk, walk[1:]):
+                continue
+            found = walk + (w,) if left == 1 else search(walk + (w,), left - 1)
+            if found:
+                return found
+        return None
 
-def _five_edge_cycle(support: np.ndarray, x: int) -> tuple[int, ...]:
-    # five-edge walks x -> a -> b -> c -> d -> x; only states with neither
-    # a loop nor a triangle reach this, so the nesting stays cheap
-    for a in np.flatnonzero(support[x]):
-        for b in np.flatnonzero(support[int(a)]):
-            for c in np.flatnonzero(support[int(b)]):
-                for d in np.flatnonzero(support[int(c)] & support[:, x]):
-                    cand5 = (x, int(a), int(b), int(c), int(d), x)
-                    if _distinct_edges(cand5):
-                        return cand5
+    for length in (1, 3, 5):
+        cycle = search((x,), length)
+        if cycle:
+            return cycle
     raise NoOddCycle(f"no odd closed walk of length <= 5 through state {x}")
 
 

@@ -338,8 +338,11 @@ def __getattr__(name):
 
 
 def _usable_cores() -> int:
-    """CPUs this process may run on: the default and the cap of --jobs."""
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on: the default and the cap of --jobs.
+    Only some platforms (Linux) report the affinity; elsewhere, every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _count(minimum: int):

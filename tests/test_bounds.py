@@ -9,7 +9,7 @@ from circlewalk.bounds import (
     BoundReport,
     NoOddCycle,
     NotReversible,
-    _five_edge_cycle,
+    _odd_cycle,
     bound_report,
     closed_form_bounds,
     comparison_bound,
@@ -23,11 +23,12 @@ from circlewalk.bounds import (
     spectrum,
 )
 from circlewalk.circles import exact_dtype
-from circlewalk.modular import make_modulus
+from circlewalk.modular import make_modulus, primes_3_mod_4
 from circlewalk.walk import (
     DEFAULT_EPSILON,
     BadEpsilon,
     StochasticKernel,
+    build_kernel,
     mixing_time,
     stationary_array,
 )
@@ -215,8 +216,8 @@ def test_default_cycles_valid_and_short(chain):
 
 
 def test_five_edge_cycle_is_the_smallest_with_distinct_edges(chain):
-    # at p = 43 circle 0 has neither a loop nor a triangle, so
-    # default_cycles hands it to _five_edge_cycle
+    # at p = 43 circle 0 has neither a loop nor a triangle, so its
+    # search reaches five edges
     _, _, k, _ = chain(43)
     s = k.scaled > 0
     assert not s[0, 0] and not (s[0][:, None] & s & s[:, 0][None, :]).any()
@@ -227,7 +228,7 @@ def test_five_edge_cycle_is_the_smallest_with_distinct_edges(chain):
     smallest = next(
         w for w in ((0, *map(int, abcd), 0) for abcd in np.argwhere(walks))
         if len(set(zip(w, w[1:]))) == 5)
-    assert _five_edge_cycle(s, 0) == smallest == (0, 1, 2, 5, 1, 0)
+    assert _odd_cycle(s, 0) == smallest == (0, 1, 2, 5, 1, 0)
     assert default_cycles(k)[0] == smallest
 
 
@@ -237,7 +238,17 @@ def test_five_edge_cycle_without_an_odd_cycle():
     with pytest.raises(
             NoOddCycle,
             match="^no odd closed walk of length <= 5 through state 2$"):
-        _five_edge_cycle(ring | ring.T, 2)
+        _odd_cycle(ring | ring.T, 2)
+
+
+@pytest.mark.parametrize("p", primes_3_mod_4(3, 499))
+def test_only_circle_0_needs_five_edges_and_only_at_7_mod_12(p):
+    # circle 0's only neighbour is 1, so 0 has a triangle exactly when 1
+    # has a loop, when 3/4 is a square or 0 mod p: when p != 7 (mod 12)
+    lengths = {x: len(c) - 1
+               for x, c in default_cycles(build_kernel(make_modulus(p))).items()}
+    assert lengths.pop(0) == (5 if p % 12 == 7 else 3)
+    assert set(lengths.values()) <= {1, 3}
 
 
 def test_odd_cycle_bound_validates_spectrum(chain):

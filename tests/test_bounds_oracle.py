@@ -1,10 +1,10 @@
-"""The array path and cycle constructions against the per-pair loops.
+"""The path and cycle constructions against per-pair and per-state loops.
 
-``default_paths``, ``comparison_bound`` and ``default_cycles`` work on
-whole arrays. The loops they replaced are kept here as oracles: the routes
-and cycles must be equal, the congestion constant A must be the same float
-(both add each edge's loads in the same order), and A and v must lie
-within 1e-12 relative of the exact rational congestions. The bounds do not
+``default_paths`` and ``comparison_bound`` work on whole arrays, and
+``default_cycles`` searches depth first. Loops are kept here as oracles:
+the routes and cycles must be equal, the congestion constant A must be
+the same float (both add each edge's loads in the same order), and A and
+v must lie within 1e-12 relative of the exact rational congestions. The bounds do not
 check the walks they build, so the walk validator below checks every
 canonical path and cycle, for every generator.
 """
@@ -28,7 +28,7 @@ from circlewalk.bounds import (
 )
 from circlewalk.circles import StructureTensor
 from circlewalk.modular import make_modulus
-from circlewalk.walk import stationary, stationary_numerators
+from circlewalk.walk import build_kernel, stationary, stationary_numerators
 from conftest import equilibrium_kernel, walk_kernel
 
 PRIMES = [7, 11, 19, 23, 31, 43]
@@ -203,6 +203,14 @@ def test_arrays_match_the_loops_for_every_generator(p):
         spectral = spectrum(kernel)
         assert spectral.lambda1 <= comp.alpha1_upper + 1e-9
         assert spectral.lambda_min >= cyc.alpha_min_lower - 1e-9
+
+
+@pytest.mark.parametrize("p", [103, 211, 467, 499])
+def test_cycles_match_the_loop_at_larger_primes(p):
+    # 467 = 11 and 499 = 7 (mod 12): circle 0 takes a triangle at one and
+    # five edges at the other
+    kernel = build_kernel(make_modulus(p))
+    assert default_cycles(kernel) == cycles_loop(kernel)
 
 
 @pytest.mark.parametrize("p", PRIMES)

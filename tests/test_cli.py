@@ -575,6 +575,19 @@ def test_scan_jobs_defaults_to_the_usable_cores(monkeypatch):
     assert args.jobs == 3
 
 
+def test_scan_jobs_defaults_to_every_cpu_without_the_affinity(
+        capsys, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    import circlewalk.cli as cli_mod
+
+    monkeypatch.delattr(cli_mod.os, "sched_getaffinity")
+    args = cli_mod.build_parser().parse_args(["scan", "--p-min", "7",
+                                              "--p-max", "11"])
+    assert args.jobs == (os.cpu_count() or 1)
+    assert run(capsys, "scan", "--p-min", "7", "--p-max", "11",
+               "--jobs", "1")[0] == 0
+
+
 def test_start_up_leaves_the_process_pool_unimported():
     # a fresh interpreter: ``pool_sizes`` leaves the pool a real global here
     probe = (

@@ -1,11 +1,14 @@
 """The README's ``Library`` block runs, and its values are the ones its
-comments state, so the documented signatures cannot go stale."""
+comments state, so the documented signatures cannot go stale; and the
+README states the Kloosterman moment identities as their exact check
+does."""
 
 import ast
 import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MOMENTS = README.parent / "tests" / "test_kloosterman_moments.py"
 
 # expression in the block -> the value its comment states; a trailing
 # "..." means the repr starts with what comes before it
@@ -72,3 +75,17 @@ def test_readme_library_block_states_its_values():
             assert shown.startswith(claim[:-3]), (expr, shown)
         else:
             assert shown == claim, (expr, shown)
+
+
+def identities(text: str) -> list[str]:
+    """The trace identity and the M_1 to M_4 lines, stripped of indent
+    and of a trailing comma or full stop."""
+    return [line.strip().rstrip(",.") for line in text.splitlines()
+            if re.match(r"\s*(Tr\(S\^n\)|M_[1-4]) = ", line)]
+
+
+def test_readme_states_the_moment_identities_as_their_check_does():
+    readme = identities(README.read_text(encoding="utf-8"))
+    check = identities(MOMENTS.read_text(encoding="utf-8"))
+    assert len(check) == 5
+    assert readme == check
