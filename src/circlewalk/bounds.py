@@ -108,16 +108,16 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
 
     ``_eigenvalues`` makes calls 1 and 2 on a copy of the same matrix,
     with a workspace that gives dsytrd the same block size, so it returns
-    W. A matrix that dsyevd would rescale goes to ``eigh`` itself; a
-    reversible kernel's never does: its entries lie in [0, 1] and, since
-    its top eigenvalue is 1, the largest is at least 1/p. ``eigvalsh``
-    (dsyevd('N')) would not do: it runs dsterf in place of dstedc, and
-    its last bits differ.
+    W. dsyevd leaves a matrix unscaled when its largest entry lies in
+    [2^-485, 2^485], as a reversible kernel's does: the entries lie in
+    [0, 1], and the top eigenvalue 1 is at most the largest row sum, so
+    the largest entry is at least 1/p. ``eigvalsh`` (dsyevd('N')) would
+    not do: it runs dsterf in place of dstedc, and its last bits differ.
     """
     witness = detailed_balance(kernel)
     if witness is not None:
         raise NotReversible(f"detailed balance fails at pair {witness}")
-    k = kernel.matrix
+    k = kernel.scaled / kernel.denominator
     sym = np.sqrt(k * k.T)
     evals = _eigenvalues(sym)[::-1]
     if abs(evals[0] - 1.0) > 1e-9:
@@ -127,18 +127,12 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     return SpectrumReport(evals)
 
 
-# dsyevd rescales a matrix whose largest |entry| is below this or above
-# its inverse: sqrt(safmin / eps), 2^-485 in float64
-_UNSCALED_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
-
-
 def _eigenvalues(sym: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric float64 matrix ``sym``,
     bit for bit ``np.linalg.eigh(sym)[0]``: dsytrd('L') and then
     dstedc('I'), dsyevd without its back-transform (see ``spectrum``)."""
     lapack = _lapack()
-    top = np.abs(sym).max()
-    if lapack is None or not _UNSCALED_MIN <= top <= 1 / _UNSCALED_MIN:
+    if lapack is None:
         return np.linalg.eigh(sym)[0]
     dsytrd, dstedc = lapack
     n = len(sym)
@@ -232,7 +226,8 @@ def comparison_bound(kernel: StochasticKernel) -> ComparisonBound:
     # an edge no path uses adds nothing to the max
     used = np.flatnonzero(congestion > 0)
     z, w = np.divmod(used, p)
-    a = float((congestion[used] / (pi[z] * kernel.matrix[z, w])).max())
+    k = kernel.scaled[z, w] / kernel.denominator
+    a = float((congestion[used] / (pi[z] * k)).max())
     return ComparisonBound(a)
 
 
@@ -306,12 +301,12 @@ def odd_cycle_bound(kernel: StochasticKernel) -> OddCycleBound:
     edges. Each cycle is odd, steps along support edges and repeats no
     edge by construction, so the cycles are not checked again here.
     """
-    k = kernel.matrix
+    s, den = kernel.scaled, kernel.denominator
     pi = stationary_array(kernel.p)
     congestion: dict[tuple[int, int], float] = {}
     for x, cycle in default_cycles(kernel).items():
         edges = list(zip(cycle, cycle[1:]))
-        weight = float(sum(1.0 / (pi[z] * k[z, w]) for z, w in edges)) * pi[x]
+        weight = float(sum(1.0 / (pi[z] * (s[z, w] / den)) for z, w in edges)) * pi[x]
         for e in edges:
             congestion[e] = congestion.get(e, 0.0) + weight
 

@@ -1,7 +1,7 @@
 """Command line front end: per-prime computations and the scaling scan.
 
-Exit codes: 0 success, 1 usage error, 2 invalid modulus, 3 not mixed:
-the TV stopped falling above eps, 4 internal invariant violation.
+Exit codes: 0 success, 1 usage error or out of memory, 2 invalid modulus, 3
+not mixed: the TV stopped falling above eps, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -435,6 +435,9 @@ def main(argv=None) -> int:
         return EXIT_NOT_MIXED
     except _UsageError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # p too large for this machine, not a broken invariant
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # invariant violations and unexpected failures
         print(f"internal error: {exc}", file=sys.stderr)

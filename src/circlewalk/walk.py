@@ -46,14 +46,14 @@ class NotMixed(RuntimeError):
 
 
 class StochasticKernel:
-    """Row-stochastic matrix stored as integer numerators over a common
-    denominator, with an eagerly built float64 projection.
+    """Row-stochastic matrix stored only as integer numerators over a
+    common denominator; a stage that reads floats divides them itself.
 
     The denominator is the rows' common total, read off row 0; every
     other row is checked to total the same at construction.
     """
 
-    __slots__ = ("p", "scaled", "denominator", "matrix")
+    __slots__ = ("p", "scaled", "denominator")
 
     def __init__(self, scaled: np.ndarray):
         scaled = np.asarray(scaled)
@@ -74,12 +74,9 @@ class StochasticKernel:
         if bad.any():
             raise ValueError(f"row {int(np.argmax(bad))} does not sum to 1")
         scaled.setflags(write=False)
-        matrix = scaled.astype(np.float64) / denominator
-        matrix.setflags(write=False)
         object.__setattr__(self, "p", scaled.shape[0])
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("StochasticKernel is immutable")
@@ -201,6 +198,7 @@ def mixing_time(
 
     p = kernel.p
     pi = stationary_array(p)
+    step = kernel.scaled / kernel.denominator
     row = np.zeros(p)
     row[0] = 1.0
     curve: list[float] = []
@@ -211,7 +209,7 @@ def mixing_time(
         if t > 0 and curve[-1] >= curve[-2]:
             msg = f"worst TV stopped falling at {curve[-1]:.3e} > {epsilon}"
             raise NotMixed(f"{msg} after {t} steps", tuple(curve))
-        row = row @ kernel.matrix
+        row = row @ step
 
 
 def boost_epsilon(tau_base: int, epsilon: float) -> int:

@@ -196,13 +196,14 @@ def test_criterion_07_tv_envelope(chain, spectra):
         tau = mixing_time(kernel).tau
         rows = np.eye(p)
         pif = stationary_array(p)
+        step = kernel.scaled / kernel.denominator
         for t in range(2 * tau + 1):
             worst = float(0.5 * np.abs(rows - pif).sum(axis=1).max())
             envelope = 0.5 * p * alpha**t
             if worst > envelope + 1e-9:
                 failures.append(f"p={p}, t={t}: TV {worst} > envelope {envelope}")
                 break
-            rows = rows @ kernel.matrix
+            rows = rows @ step
     _finish(7, "measured TV under the spectral envelope", failures)
 
 
@@ -225,7 +226,7 @@ def test_criterion_09_monte_carlo(chain):
     m, _, kernel, _ = chain(7)
     trials = 100000
     run_a = simulate(m, steps=20, trials=trials, seed=42)
-    exact = np.linalg.matrix_power(kernel.matrix, 20)[0]
+    exact = np.linalg.matrix_power(kernel.scaled / kernel.denominator, 20)[0]
     freq_a = run_a / trials
     gap = 0.5 * np.abs(freq_a - exact).sum()
     if gap > 0.02:
@@ -241,7 +242,8 @@ def test_criterion_09_monte_carlo(chain):
 def test_criterion_10_eigensolver_properties(chain, spectra):
     failures = []
     for p, spectral in spectra.items():
-        k = chain(p)[2].matrix
+        kernel = chain(p)[2]
+        k = kernel.scaled / kernel.denominator
         s = np.sqrt(k * k.T)
         lam, u = np.linalg.eigh(s)
         lam, u = lam[::-1], u[:, ::-1]

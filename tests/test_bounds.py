@@ -75,7 +75,8 @@ def dirichlet_form(kernel, f):
     f = np.asarray(f, dtype=np.float64)
     pi = stationary_array(kernel.p)
     diff = f[:, None] - f[None, :]
-    return float(0.5 * (diff**2 * (pi[:, None] * kernel.matrix)).sum())
+    k = kernel.scaled / kernel.denominator
+    return float(0.5 * (diff**2 * (pi[:, None] * k)).sum())
 
 
 def test_dirichlet_form_constant_is_zero(chain):
@@ -88,7 +89,8 @@ def test_dirichlet_form_matches_eigenvalues(chain):
     for p in [7, 11]:
         _, _, k, pi = chain(p)
         spectral = spectrum(k)
-        lam, u = np.linalg.eigh(np.sqrt(k.matrix * k.matrix.T))
+        m = k.scaled / k.denominator
+        lam, u = np.linalg.eigh(np.sqrt(m * m.T))
         lam, u = lam[::-1], u[:, ::-1]
         assert np.array_equal(lam, spectral.eigenvalues)
         pif = stationary_array(p)
@@ -107,9 +109,10 @@ def test_dirichlet_form_indicator_hand_oracle(chain):
     f[0] = 1.0
     expected = 0.0  # independent double sum
     pif = stationary_array(7)
+    m = k.scaled / k.denominator
     for x in range(7):
         for y in range(7):
-            expected += 0.5 * (f[x] - f[y]) ** 2 * pif[x] * k.matrix[x, y]
+            expected += 0.5 * (f[x] - f[y]) ** 2 * pif[x] * m[x, y]
     assert dirichlet_form(k, f) == pytest.approx(expected, abs=1e-15)
 
 
@@ -117,19 +120,21 @@ def eq2_bruteforce(kernel, pi, other, other_pi, paths):
     # direct double-loop evaluation over every base edge
     p = kernel.p
     pif, opif = np.array(pi, dtype=float), np.array(other_pi, dtype=float)
+    k = kernel.scaled / kernel.denominator
+    other_k = other.scaled / other.denominator
     best = 0.0
     for z in range(p):
         for w in range(p):
-            if kernel.matrix[z, w] == 0:
+            if k[z, w] == 0:
                 continue
             total = 0.0
             for (x, y), path in paths.items():
-                if other.matrix[x, y] == 0 or x == y:
+                if other_k[x, y] == 0 or x == y:
                     continue
                 edges = list(zip(path, path[1:]))
                 if (z, w) in edges:
-                    total += len(edges) * opif[x] * other.matrix[x, y]
-            best = max(best, total / (pif[z] * kernel.matrix[z, w]))
+                    total += len(edges) * opif[x] * other_k[x, y]
+            best = max(best, total / (pif[z] * k[z, w]))
     return best
 
 
@@ -180,7 +185,7 @@ def test_default_paths_shapes(chain):
     assert (routes[np.arange(7), np.arange(7)] == -1).all()
     paths = route_mapping(routes)
     assert len(paths) == 7 * 6
-    support = k.matrix > 0
+    support = k.scaled > 0
     for (x, y), path in paths.items():
         assert path[0] == x and path[-1] == y
         for z, w in zip(path, path[1:]):
@@ -190,7 +195,7 @@ def test_default_paths_shapes(chain):
 def test_default_paths_use_smallest_intermediate(chain):
     m, _, k, _ = chain(11)
     routes = default_paths(k)
-    support = k.matrix > 0
+    support = k.scaled > 0
     for r in range(1, 11):
         for s in range(r + 1, 11):
             mid = routes[r, s, 1]
@@ -202,7 +207,7 @@ def test_default_cycles_valid_and_short(chain):
     for p in [7, 11, 19]:
         m, _, k, pi = chain(p)
         cycles = default_cycles(k)
-        support = k.matrix > 0
+        support = k.scaled > 0
         assert set(cycles) == set(range(p))
         for x, cycle in cycles.items():
             edges = list(zip(cycle, cycle[1:]))
@@ -276,6 +281,14 @@ def test_closed_forms_hold_for_spectrum(chain):
         assert spectral.lambda_min >= cyc.alpha_min_lower - 1e-9
 
 
+@pytest.mark.parametrize("p", primes_3_mod_4(3, 499))
+def test_computed_A_is_within_the_papers_linear_constant(p):
+    # the canonical paths' congestion is at most 3(p+3)(p+1)^2/p^2, the
+    # linear A of the paper; its odd-cycle v = 63(p+1) is not yet met
+    m = make_modulus(p)
+    assert comparison_bound(build_kernel(m)).A <= closed_form_bounds(m)[0].A
+
+
 def test_spectral_tv_bound_examples(chain):
     m, _, k, pi = chain(7)
     spectral = spectrum(k)
@@ -292,10 +305,11 @@ def test_spectral_tv_bound_dominates_measured(chain):
         tau = mixing_time(k).tau
         rows = np.eye(p)
         pif = stationary_array(p)
+        step = k.scaled / k.denominator
         for t in range(2 * tau + 1):
             worst = 0.5 * np.abs(rows - pif).sum(axis=1).max()
             assert worst <= spectral_tv_bound(spectral, t) + 1e-9
-            rows = rows @ k.matrix
+            rows = rows @ step
 
 
 def test_coupling_bound_p7():

@@ -97,7 +97,9 @@ def comparison_loop(kernel, dist, paths):
     row-major and edges in path order."""
     p = kernel.p
     pi = np.array(dist, dtype=float)
-    other_k = equilibrium_kernel(p).matrix
+    other = equilibrium_kernel(p)
+    other_k = other.scaled / other.denominator
+    k = kernel.scaled / kernel.denominator
     congestion = {}
     for x in range(p):
         for y in range(p):
@@ -110,7 +112,7 @@ def comparison_loop(kernel, dist, paths):
                 congestion[e] = congestion.get(e, 0.0) + load
     best = 0.0
     for (z, w), total in congestion.items():
-        best = max(best, total / (pi[z] * kernel.matrix[z, w]))
+        best = max(best, total / (pi[z] * k[z, w]))
     return float(best)
 
 

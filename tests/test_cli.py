@@ -480,6 +480,43 @@ def test_scan_internal_error_exit_4(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_out_of_memory_exit_1(capsys, monkeypatch):
+    import circlewalk.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise MemoryError("forced failure")
+
+    monkeypatch.setattr(cli_mod.walk_mod, "mixing_time", boom)
+    assert run(capsys, "mix", "--p", "7") == (
+        1, "", "out of memory: forced failure\n")
+
+
+def test_scan_out_of_memory_exit_1(capsys, monkeypatch):
+    import circlewalk.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise MemoryError("forced failure")
+
+    monkeypatch.setattr(cli_mod.bounds_mod, "spectrum", boom)
+    assert run(capsys, "scan", "--p-min", "7", "--p-max", "11", "--jobs", "1") == (
+        1, "", "out of memory: forced failure\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps memory on Linux")
+def test_a_kernel_past_the_address_space_exits_1():
+    # the 100003 x 100003 int64 kernel is 74.5 GiB, far past a 3 GiB cap
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    proc = subprocess.run(CLI + ["spectrum", "--p", "100003"], preexec_fn=cap,
+                          env={**CLI_ENV, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("out of memory: Unable to allocate")
+
+
 @pytest.mark.parametrize("p, eps", [
     *((p, DEFAULT_EPSILON) for p in primes_3_mod_4(7, 199)),
     (499, DEFAULT_EPSILON),

@@ -25,7 +25,7 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 def eigh_oracle(kernel):
     """The spectrum as ``eigh`` gives it, descending."""
-    k = kernel.matrix
+    k = kernel.scaled / kernel.denominator
     return np.linalg.eigh(np.sqrt(k * k.T))[0][::-1]
 
 
@@ -63,7 +63,8 @@ def test_spectrum_is_eighs_bit_for_bit_at_a_thread_count(threads):
         "import numpy as np\n"
         "from circlewalk import build_kernel, make_modulus, spectrum\n"
         "k = build_kernel(make_modulus(499))\n"
-        "oracle = np.linalg.eigh(np.sqrt(k.matrix * k.matrix.T))[0][::-1]\n"
+        "m = k.scaled / k.denominator\n"
+        "oracle = np.linalg.eigh(np.sqrt(m * m.T))[0][::-1]\n"
         "print(np.array_equal(spectrum(k).eigenvalues, oracle))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe],
@@ -81,18 +82,14 @@ def test_the_eigh_fallback_gives_the_same_arrays(monkeypatch, p):
     assert np.array_equal(routed, eigh_oracle(kernel))
 
 
-def test_a_matrix_dsyevd_rescales_goes_to_eigh(monkeypatch):
-    # dsyevd rescales below 2^-485 and above 2^485 before it reduces, so
-    # the route would not reproduce eigh's bits there; it must not run
-    def unreachable():
-        raise AssertionError("the LAPACK route ran on a rescaled matrix")
-
-    a = np.add.outer(np.arange(5.0), np.arange(5.0)) + np.eye(5)
-    expected = {scale: np.linalg.eigh(scale * a)[0]
-                for scale in (2.0**-500, 2.0**500, 0.0)}
-    monkeypatch.setattr(bounds_mod, "_lapack", lambda: (unreachable, unreachable))
-    for scale, evals in expected.items():
-        assert np.array_equal(_eigenvalues(scale * a), evals)
+@pytest.mark.parametrize("p", primes_3_mod_4(3, 499))
+def test_dsyevd_never_rescales_a_walk(p):
+    # dsyevd rescales a matrix whose largest entry lies outside
+    # [2^-485, 2^485] before it reduces, and the route would not
+    # reproduce eigh's bits there; ``spectrum`` proves [1/p, 1] instead
+    kernel = build_kernel(make_modulus(p))
+    k = kernel.scaled / kernel.denominator
+    assert 1 / p <= np.sqrt(k * k.T).max() <= 1
 
 
 def test_random_symmetric_matrices_match_eigh():

@@ -69,12 +69,26 @@ def test_kernel_reads_its_denominator_and_is_immutable():
     k = StochasticKernel(np.array([[0, 3], [1, 2]], dtype=np.int32))
     assert k.denominator == 3 and type(k.denominator) is int
     assert k.exact(1, 1) == Fraction(2, 3)
-    assert k.matrix.tolist() == [[0.0, 1.0], [1 / 3, 2 / 3]]
+    assert (k.scaled / k.denominator).tolist() == [[0.0, 1.0], [1 / 3, 2 / 3]]
     with pytest.raises(AttributeError, match="immutable"):
         k.denominator = 6
-    for array in (k.scaled, k.matrix):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        k.scaled[0, 0] = 1
+
+
+def test_a_kernel_holds_one_array():
+    # the int64 numerators are 8 p^2 bytes; a float64 projection kept
+    # next to them would double that
+    p = 1019
+    m = make_modulus(p)
+    tracemalloc.start()
+    try:
+        kernel = build_kernel(m)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kernel.p == p
+    assert retained < 1.5 * 8 * p * p
 
 
 @pytest.mark.parametrize("p", [7, 11, 19])
@@ -177,13 +191,14 @@ def all_starts_tvs(kernel):
     steps, up to the first step whose worst TV is at most 1/(2e), or to
     step 100."""
     pi = stationary_array(kernel.p)
+    step = kernel.scaled / kernel.denominator
     rows = np.eye(kernel.p)
     tvs = []
     for _ in range(101):
         tvs.append(0.5 * np.abs(rows - pi).sum(axis=1))
         if tvs[-1].max() <= DEFAULT_EPSILON:
             break
-        rows = rows @ kernel.matrix
+        rows = rows @ step
     return tvs
 
 
@@ -280,6 +295,7 @@ def capped_mixing(kernel, epsilon):
     p = kernel.p
     cap = 40 * smallest_contraction_power(p, min(epsilon, DEFAULT_EPSILON))
     pi = stationary_array(p)
+    step = kernel.scaled / kernel.denominator
     row = np.zeros(p)
     row[0] = 1.0
     curve = []
@@ -287,7 +303,7 @@ def capped_mixing(kernel, epsilon):
         curve.append(float(0.5 * np.abs(row - pi).sum()))
         if curve[-1] <= epsilon:
             return t, tuple(curve)
-        row = row @ kernel.matrix
+        row = row @ step
     return None
 
 
