@@ -106,9 +106,13 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     3. dormtr multiplies that work matrix by Q. It reads Q and writes only
        the vectors, so W is final after step 2.
 
-    ``_eigenvalues`` makes calls 1 and 2 on a copy of the same matrix,
-    with a workspace that gives dsytrd the same block size, so it returns
-    W. dsyevd leaves a matrix unscaled when its largest entry lies in
+    ``_eigenvalues`` makes calls 1 and 2 on the same matrix, reducing
+    the array it is given in place, with a workspace that gives dsytrd
+    the same block size, so it returns W. ``spectrum`` hands it the one
+    array in which it forms sqrt(K(x,y) K(y,x)): the product is exactly
+    symmetric, since float multiplication commutes, so its C buffer is
+    also its Fortran buffer, the matrix ``eigh`` copies for dsyevd.
+    dsyevd leaves a matrix unscaled when its largest entry lies in
     [2^-485, 2^485], as a reversible kernel's does: the entries lie in
     [0, 1], and the top eigenvalue 1 is at most the largest row sum, so
     the largest entry is at least 1/p. ``eigvalsh`` (dsyevd('N')) would
@@ -118,8 +122,9 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     if witness is not None:
         raise NotReversible(f"detailed balance fails at pair {witness}")
     k = kernel.scaled / kernel.denominator
-    sym = np.sqrt(k * k.T)
-    evals = _eigenvalues(sym)[::-1]
+    sym = k * k.T
+    del k  # beside the kernel, only sym and dstedc's workspaces stay p x p
+    evals = _eigenvalues(np.sqrt(sym, out=sym))[::-1]
     if abs(evals[0] - 1.0) > 1e-9:
         raise ValueError(f"top eigenvalue {evals[0]} is not 1")
     if evals[-1] < -1 - 1e-9:
@@ -128,15 +133,19 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
 
 
 def _eigenvalues(sym: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric float64 matrix ``sym``,
-    bit for bit ``np.linalg.eigh(sym)[0]``: dsytrd('L') and then
-    dstedc('I'), dsyevd without its back-transform (see ``spectrum``)."""
+    """Ascending eigenvalues of the exactly symmetric float64 matrix
+    ``sym``, bit for bit ``np.linalg.eigh(sym)[0]``: dsytrd('L') and then
+    dstedc('I'), dsyevd without its back-transform (see ``spectrum``).
+
+    dsytrd reduces ``sym`` in place, so its contents are lost: a caller
+    that still needs the matrix passes a copy. An array that is not a
+    writable C-contiguous float64 one is copied first."""
     lapack = _lapack()
     if lapack is None:
         return np.linalg.eigh(sym)[0]
     dsytrd, dstedc = lapack
     n = len(sym)
-    a = np.array(sym, order="F")
+    a = np.require(sym, np.float64, ["C", "W"])
     d, e, tau, query = np.empty(n), np.empty(n), np.empty(n), np.empty(1)
     _lapack_call(dsytrd, b"L", n, a, n, d, e, tau, query, -1)
     # dsyevd hands dsytrd at least the optimal workspace that the query

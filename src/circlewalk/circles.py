@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .modular import PrimeModulus
 
@@ -80,17 +81,31 @@ class StructureTensor:
     non-square gives 0, zero gives 1/(p+1), nonzero square gives 2/(p+1).
 
     The closed form is evaluated once, for the C_1 block N_1 (``n1``,
-    read-only), and every other block is gathered from it
+    read-only int64), and every other block is gathered from it
     (``numerators``); the dense table of all blocks is built on request
     and only for p up to DENSE_TABLE_LIMIT.
+
+    N_1 is one gather. Let q(d) = d^2 / 4 mod p, and c(r) = 0, 1 or 2
+    as r is a non-square, zero or a nonzero square mod p. At i = 1,
+    V = j - (k-1-j)^2 / 4, and (k-1-j)^2 mod p depends only on
+    d = (k-1-j) mod p, so V = (j - q(d)) mod p and, for j != 0,
+    N_1[j, k] = c((j - Q[j, k]) mod p) with Q[j, k] = q((k-1-j) mod p).
+    Q is a circulant, constant along each diagonal k - j. Window s of
+    length p of q repeated twice holds q((s + t) mod p) at t, so window
+    p-1-j is row j of Q, and Q is a view of 2p integers. As j and
+    Q[j, k] lie in [0, p), the index j + p - Q[j, k] lies in [1, 2p),
+    where c repeated twice holds c((j - Q[j, k]) mod p). Row j = 0 is
+    the identity row and is written apart.
     """
 
     def __init__(self, modulus: PrimeModulus):
         p = self.p = modulus.p
-        j, k = np.ogrid[:p, :p]
-        v = (j - (k - 1 - j) ** 2 * pow(4, -1, p)) % p
-        n1 = np.where(square_table(p)[v], 2, 0)
-        n1[v == 0] = 1
+        r = np.arange(p, dtype=np.int64)
+        q = r * r % p * pow(4, -1, p) % p
+        c = 2 * square_table(p).astype(np.int64)
+        c[0] = 1
+        circulant = sliding_window_view(np.tile(q, 2), p)[p - 1::-1]
+        n1 = np.tile(c, 2)[(r + p)[:, None] - circulant]
         # j = 0 is the identity: n_10^k = [k == 1]
         n1[0] = 0
         n1[0, 1] = p + 1

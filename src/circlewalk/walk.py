@@ -50,7 +50,10 @@ class StochasticKernel:
     common denominator; a stage that reads floats divides them itself.
 
     The denominator is the rows' common total, read off row 0; every
-    other row is checked to total the same at construction.
+    other row is checked to total the same at construction. A read-only
+    int64 array that owns its data, such as ``StructureTensor.n1``, is
+    kept as it is; any other input is copied, so no caller can change
+    the kernel's numerators.
     """
 
     __slots__ = ("p", "scaled", "denominator")
@@ -63,7 +66,9 @@ class StochasticKernel:
             raise ValueError("kernel must have a state")
         if not np.issubdtype(scaled.dtype, np.integer):
             raise ValueError("scaled entries must be integers")
-        scaled = scaled.astype(np.int64)
+        if (scaled.dtype != np.int64 or scaled.flags.writeable
+                or not scaled.flags.owndata):
+            scaled = scaled.astype(np.int64)
         if (scaled < 0).any():
             raise ValueError("negative kernel entry")
         totals = scaled.sum(axis=1)
@@ -90,10 +95,10 @@ class StochasticKernel:
 
 def build_kernel(modulus: PrimeModulus) -> StochasticKernel:
     """Kernel of the C_1 walk: entry (i, j) is n_i1^j = n_1i^j, the
-    numerators ``StructureTensor(modulus).n1`` over p + 1. The C_m walk,
-    m != 0, is this kernel relabelled by k -> k/m (its numerators are
-    ``numerators(m)``), so every generator has the same mixing time,
-    spectrum and bounds."""
+    numerators ``StructureTensor(modulus).n1`` over p + 1, held as that
+    array, not a copy of it. The C_m walk, m != 0, is this kernel
+    relabelled by k -> k/m (its numerators are ``numerators(m)``), so
+    every generator has the same mixing time, spectrum and bounds."""
     return StochasticKernel(StructureTensor(modulus).n1)
 
 

@@ -198,6 +198,26 @@ def test_every_block_is_the_closed_form():
                 p, a)
 
 
+def test_n1_is_the_closed_form_at_every_prime_to_2003():
+    # N_1 is one circulant gather; the oracle evaluates V at every (j, k)
+    for p in primes_3_mod_4(7, 2003):
+        m = make_modulus(p)
+        n1 = StructureTensor(m).n1
+        assert n1.dtype == np.int64 and not n1.flags.writeable
+        assert np.array_equal(n1, closed_form_block(m, 1)), p
+
+
+@pytest.mark.parametrize("p", primes_3_mod_4(3, 43))
+def test_n1_rows_are_pair_counts(p):
+    # row j of N_1 is the C_1 x C_j histogram over |C_j|, with
+    # |C_1| |C_j| = (p + 1) |C_j| pairs in all: no closed form is read
+    m = make_modulus(p)
+    n1 = StructureTensor(m).n1
+    for j in range(p):
+        counts = pair_quadrance_counts(m, 1, j)
+        assert (n1[j] * counts.sum() == counts * (p + 1)).all(), (p, j)
+
+
 def test_numerators_takes_numpy_integers():
     t = StructureTensor(make_modulus(11))
     assert np.array_equal(t.numerators(np.int64(3)), t.numerators(3))

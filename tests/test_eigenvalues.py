@@ -6,6 +6,7 @@ the ``eigh`` fallback, and with ``eigh``'s failure on nonconvergence."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,13 +93,29 @@ def test_dsyevd_never_rescales_a_walk(p):
     assert 1 / p <= np.sqrt(k * k.T).max() <= 1
 
 
+def test_spectrum_holds_three_p_by_p_arrays():
+    # beside the kernel: sqrt(K K^T), reduced in place, and dstedc's
+    # eigenvector matrix and workspace; the float kernel is freed first
+    p = 1019
+    kernel = build_kernel(make_modulus(p))
+    tracemalloc.start()
+    try:
+        spectrum(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * 8 * p * p
+
+
 def test_random_symmetric_matrices_match_eigh():
     lapack_or_skip()
     rng = np.random.default_rng(24)
     for n in [1, 2, 3, 24, 25, 26, 31, 32, 33, 64, 65, 130]:
         a = rng.standard_normal((n, n))
         a = a + a.T
-        assert np.array_equal(_eigenvalues(a), np.linalg.eigh(a)[0]), n
+        # ``_eigenvalues`` reduces the array it is given: it gets a copy,
+        # and ``eigh`` the untouched original
+        assert np.array_equal(_eigenvalues(a.copy()), np.linalg.eigh(a)[0]), n
 
 
 def test_nonconvergence_raises_as_eigh_and_exits_4(monkeypatch, capsys):

@@ -78,17 +78,41 @@ def test_kernel_reads_its_denominator_and_is_immutable():
 
 def test_a_kernel_holds_one_array():
     # the int64 numerators are 8 p^2 bytes; a float64 projection kept
-    # next to them would double that
+    # next to them would double that. The gather that makes them needs
+    # one int64 index array of the same size beside them, and a copy of
+    # them in the kernel would be a third
     p = 1019
     m = make_modulus(p)
     tracemalloc.start()
     try:
         kernel = build_kernel(m)
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert kernel.p == p
-    assert retained < 1.5 * 8 * p * p
+    assert retained <= 1.05 * 8 * p * p
+    assert peak < 2.1 * 8 * p * p
+
+
+def test_a_kernel_keeps_the_tensors_array():
+    t = StructureTensor(make_modulus(103))
+    assert StochasticKernel(t.n1).scaled is t.n1
+    scaled = build_kernel(make_modulus(103)).scaled
+    assert scaled.dtype == np.int64 and not scaled.flags.writeable
+    assert np.array_equal(scaled, t.n1)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("read_only_view", [False, True])
+def test_a_kernel_copies_what_its_caller_can_change(dtype, read_only_view):
+    n1 = StructureTensor(make_modulus(11)).n1
+    caller = n1.astype(dtype)
+    handed = caller[:] if read_only_view else caller
+    handed.setflags(write=not read_only_view)
+    kernel = StochasticKernel(handed)
+    caller += 1
+    assert kernel.scaled.dtype == np.int64
+    assert np.array_equal(kernel.scaled, n1)
 
 
 @pytest.mark.parametrize("p", [7, 11, 19])
