@@ -30,6 +30,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,22 +217,23 @@ def comparison_bound(kernel: StochasticKernel) -> ComparisonBound:
 
     where pi is the invariant law and (x, y) runs over the ordered pairs
     x != y, each loaded as the equilibrium chain, pi(x) K'(x, y) =
-    pi(x) pi(y). The canonical paths step along support edges and repeat
-    none by construction, so they are not checked again here.
+    pi(x) pi(y). The routes are read a row x at a time, so no (p, p, 4)
+    array is built. The canonical paths step along support edges and
+    repeat none by construction, so they are not checked again here.
     """
     p = kernel.p
-    routes = default_paths(kernel).reshape(p * p, -1)
-    steps = routes[:, 1:] >= 0
     pi = stationary_array(p)
-    # |path| pi(x) pi(y), multiplied left to right; the diagonal loads 0
-    load = steps.sum(axis=1).reshape(p, p) * pi[:, None] * pi
-    # bin 0 takes the padding; the rest are fed pair-major, edge-minor, as
-    # a loop over the pairs adds them, and bincount adds in input order,
-    # so each edge's float sum is that loop's
-    congestion = np.bincount(
-        np.where(steps, routes[:, :-1] * p + routes[:, 1:] + 1, 0).ravel(),
-        weights=np.repeat(load.ravel(), steps.shape[1]),
-        minlength=p * p + 1)[1:]
+    congestion = np.zeros(p * p)
+    for x, row in enumerate(_route_rows(kernel)):
+        steps = row[:, 1:] >= 0
+        lengths = steps.sum(axis=1)
+        # |path| pi(x) pi(y), multiplied left to right; the diagonal loads 0
+        load = lengths * pi[x] * pi
+        # add.at adds in input order, pair-major and edge-minor, row after
+        # row, as a loop over the pairs adds them, so each edge's float
+        # sum is that loop's
+        np.add.at(congestion, (row[:, :-1] * p + row[:, 1:])[steps],
+                  np.repeat(load, lengths))
     # an edge no path uses adds nothing to the max
     used = np.flatnonzero(congestion > 0)
     z, w = np.divmod(used, p)
@@ -252,42 +254,49 @@ def default_paths(kernel: StochasticKernel) -> np.ndarray:
     take the smallest index that keeps both hops on support edges. The
     walk is reversible, so its support is symmetric, and then the smallest
     intermediate of (y, x) is that of (x, y): the swapped pair's route is
-    the reverse.
+    the reverse. Row x is ``_route_rows``' x-th array, copied into place.
     """
+    p = kernel.p
+    return np.fromiter(_route_rows(kernel), np.dtype((np.int64, (p, 4))), p)
+
+
+def _route_rows(kernel: StochasticKernel) -> Iterator[np.ndarray]:
+    """Yield ``default_paths(kernel)[x]``, a (p, 4) int64 array, for
+    x = 0, 1, ..., p - 1, computing each row's intermediates when it is
+    reached. A route in which a node follows a -1 has no intermediate:
+    the first such pair, in row-major order, raises."""
     support = kernel.scaled > 0
     p = kernel.p
-    # mid[r, s]: smallest k with r -> k -> s on support edges, or -1;
-    # row r reads both[s, k] = support[r, k] & support[k, s]
-    into = np.ascontiguousarray(support.T)
-    states = np.arange(p)
-    mid = np.empty((p, p), dtype=np.int64)
-    for r in range(p):
-        both = into & support[r]
-        k = both.argmax(axis=1)
-        mid[r] = np.where(both[states, k], k, -1)
     succ = np.flatnonzero(support[0, 1:]) + 1
     if succ.size == 0:
         raise PathConstructionFailed("circle 0 has no successor")
     g = int(succ[0])
+    # mid(r)[s]: smallest k with r -> k -> s on support edges, or -1;
+    # it reads both[s, k] = support[r, k] & support[k, s]
+    into = np.ascontiguousarray(support.T)
+    states = np.arange(p)
+
+    def mid(r: int) -> np.ndarray:
+        both = into & support[r]
+        k = both.argmax(axis=1)
+        return np.where(both[states, k], k, -1)
+
     # routes out of 0 and into 0 go through g
-    via = mid.copy()
-    via[0] = via[:, 0] = mid[g]
-    lost = via < 0
-    lost[states, states] = lost[0, g] = lost[g, 0] = False
-    if lost.any():
-        r, s = divmod(int(lost.argmax()), p)
-        raise PathConstructionFailed(f"no mid-state for ({r}, {s})")
-    routes = np.full((p, p, 4), -1, dtype=np.int64)
-    routes[..., 0] = states[:, None]
-    routes[..., 1] = via
-    routes[..., 2] = states
-    zero, gen = np.zeros_like(states), np.full_like(states, g)
-    routes[0] = np.column_stack([zero, gen, mid[g], states])
-    routes[:, 0] = np.column_stack([states, mid[g], gen, zero])
-    routes[0, g] = (0, g, -1, -1)
-    routes[g, 0] = (g, 0, -1, -1)
-    routes[states, states] = -1
-    return routes
+    via_g = mid(g)
+    for x in range(p):
+        if x:
+            row = np.column_stack([np.full(p, x), via_g if x == g else mid(x),
+                                   states, np.full(p, -1)])
+            row[0] = (g, 0, -1, -1) if x == g else (x, via_g[x], g, 0)
+        else:
+            row = np.column_stack([np.full(p, 0), np.full(p, g),
+                                   via_g, states])
+            row[g] = (0, g, -1, -1)
+        row[x] = -1
+        lost = ((row[:, :-1] < 0) & (row[:, 1:] >= 0)).any(axis=1)
+        if lost.any():
+            raise PathConstructionFailed(f"no mid-state for ({x}, {lost.argmax()})")
+        yield row
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict, fields
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from circlewalk.bounds import (
     BoundReport,
     NoOddCycle,
     NotReversible,
+    PathConstructionFailed,
     _odd_cycle,
     bound_report,
     closed_form_bounds,
@@ -165,13 +167,49 @@ def test_the_bounds_build_their_own_walks(chain, monkeypatch):
     _, _, k, _ = chain(7)
     expected = (comparison_bound(k), odd_cycle_bound(k))
     calls = []
-    for name in ("default_paths", "default_cycles"):
+    for name in ("_route_rows", "default_cycles"):
         build = getattr(bounds_mod, name)
         monkeypatch.setattr(bounds_mod, name,
                             lambda kernel, build=build, name=name:
                             calls.append(name) or build(kernel))
     assert (comparison_bound(k), odd_cycle_bound(k)) == expected
-    assert calls == ["default_paths", "default_cycles"]
+    assert calls == ["_route_rows", "default_cycles"]
+
+
+def ring_kernel(p):
+    """The walk that steps to a neighbour on a ring of p states or stays."""
+    eye = np.eye(p, dtype=np.int64)
+    rot = np.roll(eye, 1, axis=1)
+    return StochasticKernel(eye + rot + rot.T)
+
+
+@pytest.mark.parametrize("build", [default_paths, comparison_bound])
+def test_the_paths_refuse_a_walk_they_cannot_route(build):
+    with pytest.raises(PathConstructionFailed,
+                       match=r"^circle 0 has no successor$"):
+        build(identity_kernel(7))
+    # out of 0 the routes go 0, 1, k, y, and 1 reaches only 6, 0, 1, 2
+    # and 3 in two steps, so (0, 4) is the first pair in row-major order
+    # that has no route
+    with pytest.raises(PathConstructionFailed,
+                       match=r"^no mid-state for \(0, 4\)$"):
+        build(ring_kernel(7))
+
+
+def test_the_path_bound_reads_the_routes_a_row_at_a_time():
+    # beside the kernel: the support, its transpose and one row's
+    # candidate intermediates (p^2 bytes each) and the p^2 float64
+    # congestion, 1.4 x 8 p^2 bytes; a (p, p, 4) routes array alone
+    # would be 4 x 8 p^2
+    p = 1019
+    kernel = build_kernel(make_modulus(p))
+    tracemalloc.start()
+    try:
+        comparison_bound(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * p * p
 
 
 def test_default_paths_shapes(chain):

@@ -1,6 +1,6 @@
 """The path and cycle constructions against per-pair and per-state loops.
 
-``default_paths`` and ``comparison_bound`` work on whole arrays, and
+``default_paths`` and ``comparison_bound`` read the routes a row at a time, and
 ``default_cycles`` searches depth first. Loops are kept here as oracles:
 the routes and cycles must be equal, the congestion constant A must be
 the same float (both add each edge's loads in the same order), and A and
@@ -213,6 +213,15 @@ def test_cycles_match_the_loop_at_larger_primes(p):
     # five edges at the other
     kernel = build_kernel(make_modulus(p))
     assert default_cycles(kernel) == cycles_loop(kernel)
+
+
+@pytest.mark.parametrize("p", [211, 499])
+def test_paths_and_A_match_the_loops_at_larger_primes(p):
+    kernel = build_kernel(make_modulus(p))
+    paths = paths_loop(kernel)
+    assert np.array_equal(default_paths(kernel), route_array(paths, p))
+    assert comparison_bound(kernel).A == comparison_loop(
+        kernel, stationary(make_modulus(p)), paths)
 
 
 @pytest.mark.parametrize("p", PRIMES)
