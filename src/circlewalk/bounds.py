@@ -18,11 +18,11 @@ speed of convergence:
   law gives a geometric coupling bound on the mixing time
   (``coupling_bound``, ``minorization_check``).
 
-Every bound reads the invariant law from the kernel's state count p: the
-numerators ``stationary_numerators(p)`` over p^2, exact where a check is
-exact and ``stationary_array(p)`` in float64. Closed-form versions of the
-congestion and cycle constants are kept as reference lines next to the
-computed ones.
+Every bound reads the invariant law from the kernel's state count p as
+the integer numerators ``stationary_numerators(p)`` over p^2. The
+congestion constants A and v are exact rationals of those numerators and
+the kernel's, each rounded to float64 once. Closed-form versions of them
+are kept as reference lines next to the computed ones.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .walk import (
     build_kernel,
     detailed_balance,
     mixing_time,
-    stationary_array,
     stationary_numerators,
 )
 
@@ -211,35 +210,39 @@ class ComparisonBound:
 def comparison_bound(kernel: StochasticKernel) -> ComparisonBound:
     """Evaluate the path-congestion constant
 
-        A = max over edges (z, w) of
-            sum over the paths of ``default_paths`` through (z, w) of
-                |path| pi(x) pi(y),  divided by pi(z) K(z, w),
+        A = max over edges (z, u) of
+            sum over the paths of ``default_paths`` through (z, u) of
+                |path| pi(x) pi(y),  divided by pi(z) K(z, u),
 
     where pi is the invariant law and (x, y) runs over the ordered pairs
     x != y, each loaded as the equilibrium chain, pi(x) K'(x, y) =
     pi(x) pi(y). The routes are read a row x at a time, so no (p, p, 4)
     array is built. The canonical paths step along support edges and
     repeat none by construction, so they are not checked again here.
+
+    With pi = w / p^2 and K = scaled / denominator, an edge's ratio is
+    denominator / p^2 times load / capacity, for the integer load
+    sum |path| w_x w_y and capacity w_z scaled(z, u). A path crosses an edge
+    at most once, so a load is below 3 (sum w)^2 = 3 p^4 < 2^63 for p below
+    about 41,000, where the kernel alone would take 13 GB: the loads add
+    exactly, in any order, in int64. A is the exact maximum, rounded once;
+    a walk kernel's edges have two capacities, p + 1 and 2 (p + 1).
     """
     p = kernel.p
-    pi = stationary_array(p)
-    congestion = np.zeros(p * p)
+    w = stationary_numerators(p)
+    congestion = np.zeros(p * p, dtype=np.int64)
     for x, row in enumerate(_route_rows(kernel)):
         steps = row[:, 1:] >= 0
         lengths = steps.sum(axis=1)
-        # |path| pi(x) pi(y), multiplied left to right; the diagonal loads 0
-        load = lengths * pi[x] * pi
-        # add.at adds in input order, pair-major and edge-minor, row after
-        # row, as a loop over the pairs adds them, so each edge's float
-        # sum is that loop's
         np.add.at(congestion, (row[:, :-1] * p + row[:, 1:])[steps],
-                  np.repeat(load, lengths))
-    # an edge no path uses adds nothing to the max
-    used = np.flatnonzero(congestion > 0)
-    z, w = np.divmod(used, p)
-    k = kernel.scaled[z, w] / kernel.denominator
-    a = float((congestion[used] / (pi[z] * k)).max())
-    return ComparisonBound(a)
+                  np.repeat(lengths * w[x] * w, lengths))
+    used = np.flatnonzero(congestion)  # the edges some path uses
+    capacity, group = np.unique(w[used // p] * kernel.scaled.ravel()[used],
+                                return_inverse=True)
+    heaviest = np.zeros(capacity.size, dtype=np.int64)
+    np.maximum.at(heaviest, group, congestion[used])
+    ratio = max(map(Fraction, heaviest.tolist(), capacity.tolist()))
+    return ComparisonBound(float(ratio * Fraction(kernel.denominator, p * p)))
 
 
 def default_paths(kernel: StochasticKernel) -> np.ndarray:
@@ -315,21 +318,21 @@ def odd_cycle_bound(kernel: StochasticKernel) -> OddCycleBound:
     lengths of the cycles of ``default_cycles`` traversing that edge, and
     the induced lower bound on the smallest eigenvalue.
 
-    The chain length of a cycle is the sum of 1 / (pi(z) K(z, w)) over its
+    The chain length of a cycle is the sum of 1 / (pi(z) K(z, u)) over its
     edges. Each cycle is odd, steps along support edges and repeats no
-    edge by construction, so the cycles are not checked again here.
+    edge by construction, so the cycles are not checked again here. With
+    pi = w / p^2 and K = scaled / denominator, the cycle through x weighs
+    denominator w_x sum 1 / (w_z scaled(z, u)), summed as Fractions and
+    rounded once, at the maximum.
     """
-    s, den = kernel.scaled, kernel.denominator
-    pi = stationary_array(kernel.p)
-    congestion: dict[tuple[int, int], float] = {}
+    w = stationary_numerators(kernel.p).tolist()
+    congestion: dict[tuple[int, int], Fraction] = {}
     for x, cycle in default_cycles(kernel).items():
         edges = list(zip(cycle, cycle[1:]))
-        weight = float(sum(1.0 / (pi[z] * (s[z, w] / den)) for z, w in edges)) * pi[x]
+        weight = w[x] * sum(Fraction(1, w[z] * int(kernel.scaled[z, u])) for z, u in edges)
         for e in edges:
-            congestion[e] = congestion.get(e, 0.0) + weight
-
-    v = float(max(congestion.values()))
-    return OddCycleBound(v)
+            congestion[e] = congestion.get(e, 0) + weight
+    return OddCycleBound(float(kernel.denominator * max(congestion.values())))
 
 
 def default_cycles(kernel: StochasticKernel) -> dict[int, tuple[int, ...]]:
@@ -425,9 +428,10 @@ def smallest_contraction_power(p: int, epsilon: float = DEFAULT_EPSILON) -> int:
 class CouplingBound:
     """Coupling mixing bound tau <= 4n, with the closed-form n for scale.
 
-    ``n`` is the exact smallest power driving the contraction factor below
-    the threshold; ``closed_form_n`` is ceil((1 + ln 2)(p+1)^4 / (p^2 (p-1))),
-    always at least n.
+    ``n`` is the exact smallest power with (1 - m)^n < epsilon, for the
+    minorization constant m = p^2 (p-1) / (p+1)^4. ``closed_form_n`` is
+    N = ceil(ln(1/epsilon) / m), at least n as (1 - m)^N < e^(-mN) <= epsilon;
+    the first step's slack, e^(-N m^2 / 2), covers a float ceiling one short.
     """
 
     p: int
@@ -439,11 +443,6 @@ class CouplingBound:
     def tau_bound(self) -> int:
         return 4 * self.n
 
-    @property
-    def contraction(self) -> Fraction:
-        """The four-step contraction factor 1 - p^2 (p-1) / (p+1)^4."""
-        return 1 - _minorization(self.p)
-
 
 def coupling_bound(
     modulus: PrimeModulus, epsilon: float = DEFAULT_EPSILON
@@ -451,8 +450,8 @@ def coupling_bound(
     """Mixing-time bound from the four-step minorization: tau <= 4n."""
     p = modulus.p
     n = smallest_contraction_power(p, epsilon)
-    n8 = math.ceil((1 + math.log(2)) / _minorization(p))
-    return CouplingBound(p=p, epsilon=epsilon, n=n, closed_form_n=n8)
+    closed = math.ceil(-math.log(epsilon) / _minorization(p))
+    return CouplingBound(p=p, epsilon=epsilon, n=n, closed_form_n=closed)
 
 
 @dataclass(frozen=True)

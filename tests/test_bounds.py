@@ -11,6 +11,7 @@ from circlewalk.bounds import (
     NoOddCycle,
     NotReversible,
     PathConstructionFailed,
+    _minorization,
     _odd_cycle,
     bound_report,
     closed_form_bounds,
@@ -198,7 +199,7 @@ def test_the_paths_refuse_a_walk_they_cannot_route(build):
 
 def test_the_path_bound_reads_the_routes_a_row_at_a_time():
     # beside the kernel: the support, its transpose and one row's
-    # candidate intermediates (p^2 bytes each) and the p^2 float64
+    # candidate intermediates (p^2 bytes each) and the p^2 int64
     # congestion, 1.4 x 8 p^2 bytes; a (p, p, 4) routes array alone
     # would be 4 x 8 p^2
     p = 1019
@@ -327,6 +328,14 @@ def test_computed_A_is_within_the_papers_linear_constant(p):
     assert comparison_bound(build_kernel(m)).A <= closed_form_bounds(m)[0].A
 
 
+@pytest.mark.parametrize("p", primes_3_mod_4(3, 499))
+def test_v_is_the_exact_half_integer(p):
+    # the exact v is a half-integer at each of these primes (5415/2 at
+    # p = 103); the float rounds it once, so it is one too
+    v = odd_cycle_bound(build_kernel(make_modulus(p))).v
+    assert (2 * v).is_integer()
+
+
 def test_spectral_tv_bound_examples(chain):
     m, _, k, pi = chain(7)
     spectral = spectrum(k)
@@ -355,23 +364,25 @@ def test_coupling_bound_p7():
     assert cb.n == 23
     assert cb.tau_bound == 92
     assert cb.closed_form_n == 24
-    assert cb.contraction == Fraction(4096 - 294, 4096)
+    assert 1 - _minorization(7) == Fraction(4096 - 294, 4096)
+    cb = coupling_bound(make_modulus(7), 0.01)
+    assert (cb.n, cb.closed_form_n) == (62, 65)
 
 
 def test_coupling_bound_is_tight_boundary():
     # n is the exact crossing: one step earlier stays above the threshold
     for p in [7, 11, 19, 43]:
         cb = coupling_bound(make_modulus(p))
-        eps = Fraction(DEFAULT_EPSILON)
-        assert cb.contraction**cb.n < eps
-        assert cb.contraction ** (cb.n - 1) >= eps
+        c, eps = 1 - _minorization(p), Fraction(DEFAULT_EPSILON)
+        assert c**cb.n < eps
+        assert c ** (cb.n - 1) >= eps
 
 
 def test_contraction_power_when_eps_is_a_power_of_c():
     # at p = 7, c = 1901/2048 is dyadic, so c^2 is a float exactly and the
     # strict c^n < eps first holds at n = 3
     c = Fraction(1901, 2048)
-    assert coupling_bound(make_modulus(7)).contraction == c
+    assert 1 - _minorization(7) == c
     assert Fraction(float(c**2)) == c**2
     assert smallest_contraction_power(7, float(c**2)) == 3
 
@@ -402,6 +413,16 @@ def test_coupling_bound_monotone_and_dominated():
         assert cb.n >= previous
         assert cb.closed_form_n >= cb.n
         previous = cb.n
+
+
+@pytest.mark.parametrize("epsilon", [DEFAULT_EPSILON, 0.5, 0.01, 1e-6])
+def test_the_closed_form_n_is_at_least_n_at_every_epsilon(epsilon):
+    # a closed form blind to eps, ceil((1 + ln 2) / m), would give 24
+    # against n = 62 at p = 7, eps = 0.01, and 854 against n = 6957 at
+    # p = 499, eps = 1e-6
+    for p in primes_3_mod_4(3, 499):
+        cb = coupling_bound(make_modulus(p), epsilon)
+        assert cb.closed_form_n >= cb.n, p
 
 
 def test_measured_mixing_below_coupling(chain):

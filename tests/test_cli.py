@@ -408,6 +408,9 @@ def test_bounds_json_keys(capsys):
     ]
     assert obj["coupling_n"] == 23 and obj["coupling_tau"] == 92
     assert obj["tau_measured"] <= obj["coupling_tau"]
+    # the exact constants 80/7 and 32, each rounded once
+    assert '"comparison_A": 11.428571428571429,' in out and '"v": 32.0,' in out
+    assert obj["comparison_A"] == 80 / 7
 
 
 def test_simulate_csv_schema(capsys):

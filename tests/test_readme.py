@@ -18,7 +18,7 @@ CLAIMS = {
     "mixing_time(kernel).tau": "4",
     "coupling_bound(m).tau_bound": "92",
     "spectrum(kernel).alpha_star": "0.5617...",
-    "comparison_bound(kernel).A": "11.4285...",
+    "comparison_bound(kernel).A": "11.428571428571429",
     "odd_cycle_bound(kernel).v": "32.0",
 }
 
