@@ -48,6 +48,11 @@ from .walk import (
     stationary_numerators,
 )
 
+# Side of the square tiles in which ``spectrum`` symmetrises the kernel
+# in place: each tile pair's product is one small temporary.
+_SYM_TILE = 128
+
+
 class NotReversible(ValueError):
     """Kernel fails detailed balance for the invariant law."""
 
@@ -102,29 +107,45 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     1. dsytrd('L') reduces the matrix to a tridiagonal T = Q^T A Q and
        stores T's diagonal in the output W and its off-diagonal in E;
     2. dstedc('I') runs divide and conquer on T: it overwrites W with T's
-       eigenvalues and writes T's eigenvectors into a work matrix;
-    3. dormtr multiplies that work matrix by Q. It reads Q and writes only
-       the vectors, so W is final after step 2.
+       eigenvalues and writes T's eigenvectors into a matrix Z. With
+       COMPZ = 'I' it sets Z to the identity before it reads it, so Z's
+       contents on entry do not matter: ``_eigenvalues`` lets it write Z
+       over the reduced matrix, whose Householder vectors nothing reads
+       once dsytrd returns;
+    3. dormtr multiplies Z by Q. It reads Q and writes only the
+       vectors, so W is final after step 2.
 
     ``_eigenvalues`` makes calls 1 and 2 on the same matrix, reducing
     the array it is given in place, with a workspace that gives dsytrd
     the same block size, so it returns W. ``spectrum`` hands it the one
-    array in which it forms sqrt(K(x,y) K(y,x)): the product is exactly
-    symmetric, since float multiplication commutes, so its C buffer is
-    also its Fortran buffer, the matrix ``eigh`` copies for dsyevd.
-    dsyevd leaves a matrix unscaled when its largest entry lies in
-    [2^-485, 2^485], as a reversible kernel's does: the entries lie in
-    [0, 1], and the top eigenvalue 1 is at most the largest row sum, so
-    the largest entry is at least 1/p. ``eigvalsh`` (dsyevd('N')) would
-    not do: it runs dsterf in place of dstedc, and its last bits differ.
+    array in which it forms sqrt(K(x,y) K(y,x)), in place over the float
+    kernel, a pair of square tiles at a time: for tiles I <= J it takes
+    t = sym[I, J] * sym[J, I]^T, the root of t, and writes t to (I, J)
+    and its transpose to (J, I). Each entry is fl(sqrt(fl(k_xy k_yx)))
+    whichever tile writes it, since float multiplication commutes, so the
+    matrix is bit for bit the whole-array sqrt(k * k^T) and exactly
+    symmetric: its C buffer is also its Fortran buffer, the matrix
+    ``eigh`` copies for dsyevd. dsyevd leaves a matrix unscaled when its
+    largest entry lies in [2^-485, 2^485], as a reversible kernel's does:
+    the entries lie in [0, 1], and the top eigenvalue 1 is at most the
+    largest row sum, so the largest entry is at least 1/p. ``eigvalsh``
+    (dsyevd('N')) would not do: it runs dsterf in place of dstedc, and its
+    last bits differ.
     """
     witness = detailed_balance(kernel)
     if witness is not None:
         raise NotReversible(f"detailed balance fails at pair {witness}")
-    k = kernel.scaled / kernel.denominator
-    sym = k * k.T
-    del k  # beside the kernel, only sym and dstedc's workspaces stay p x p
-    evals = _eigenvalues(np.sqrt(sym, out=sym))[::-1]
+    sym = kernel.scaled / kernel.denominator
+    p = kernel.p
+    for i0 in range(0, p, _SYM_TILE):
+        for j0 in range(i0, p, _SYM_TILE):
+            upper = sym[i0:i0 + _SYM_TILE, j0:j0 + _SYM_TILE]
+            lower = sym[j0:j0 + _SYM_TILE, i0:i0 + _SYM_TILE]
+            t = upper * lower.T
+            np.sqrt(t, out=t)
+            upper[...] = t
+            lower[...] = t.T
+    evals = _eigenvalues(sym)[::-1]
     if abs(evals[0] - 1.0) > 1e-9:
         raise ValueError(f"top eigenvalue {evals[0]} is not 1")
     if evals[-1] < -1 - 1e-9:
@@ -137,9 +158,11 @@ def _eigenvalues(sym: np.ndarray) -> np.ndarray:
     ``sym``, bit for bit ``np.linalg.eigh(sym)[0]``: dsytrd('L') and then
     dstedc('I'), dsyevd without its back-transform (see ``spectrum``).
 
-    dsytrd reduces ``sym`` in place, so its contents are lost: a caller
-    that still needs the matrix passes a copy. An array that is not a
-    writable C-contiguous float64 one is copied first."""
+    dsytrd reduces ``sym`` in place, and dstedc then writes its
+    eigenvector matrix Z over the same storage, so the contents are lost:
+    a caller that still needs the matrix passes a copy. An array that is
+    not a writable C-contiguous float64 one is copied first, and the copy
+    is reduced and overwritten instead."""
     lapack = _lapack()
     if lapack is None:
         return np.linalg.eigh(sym)[0]
@@ -153,9 +176,8 @@ def _eigenvalues(sym: np.ndarray) -> np.ndarray:
     # needs 1 + 4n + n^2 and reads no more than that
     work = np.empty(max(int(query[0]), 1 + 4 * n + n * n))
     _lapack_call(dsytrd, b"L", n, a, n, d, e, tau, work, work.size)
-    z = np.empty((n, n), order="F")
     iwork = np.empty(3 + 5 * n, dtype=np.int64)
-    _lapack_call(dstedc, b"I", n, d, e, z, n, work, work.size,
+    _lapack_call(dstedc, b"I", n, d, e, a, n, work, work.size,
                  iwork, iwork.size)
     return d
 

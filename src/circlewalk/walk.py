@@ -129,13 +129,14 @@ def detailed_balance(kernel: StochasticKernel) -> tuple[int, int] | None:
 
     This compares the integer fluxes num(x) * scaled(x, y), num =
     ``stationary_numerators(p)`` (the denominator p^2 cancels), with their
-    transpose, in the dtype ``exact_dtype`` allows; the mismatch mask is
+    transpose, in the dtype ``exact_dtype`` allows, multiplied straight
+    from the int64 numerators with no converted copy; the mismatch mask is
     symmetric with a false diagonal, so its first hit in row-major order
     has x < y.
     """
     num = stationary_numerators(kernel.p)
     dtype = exact_dtype(int(num.max()) * int(kernel.scaled.max()))
-    flux = num.astype(dtype)[:, None] * kernel.scaled.astype(dtype)
+    flux = np.multiply(num[:, None], kernel.scaled, dtype=dtype)
     return _first_witness(flux != flux.T)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from circlewalk.circles import (
     StructureTensor,
     circle_points,
+    exact_dtype,
     pair_quadrance_counts,
 )
 from circlewalk.bounds import smallest_contraction_power
@@ -163,6 +164,45 @@ def test_detailed_balance_examples(chain):
     witness = detailed_balance(symmetric)
     assert witness is not None
     assert 0 in witness  # violation involves the null-circle row
+
+
+def balance_peak(kernel):
+    """tracemalloc peak of ``detailed_balance(kernel)`` and its result."""
+    tracemalloc.start()
+    try:
+        witness = detailed_balance(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, witness
+
+
+def test_detailed_balance_multiplies_the_numerators_in_float32():
+    # the flux (4 p^2 bytes) and its mismatch mask (p^2 bytes), with no
+    # float32 copy of the kernel beside them
+    p = 1019
+    kernel = build_kernel(make_modulus(p))
+    num = stationary_numerators(p)
+    assert exact_dtype(int(num.max()) * int(kernel.scaled.max())) is np.float32
+    peak, witness = balance_peak(kernel)
+    assert witness is None
+    assert peak < 0.7 * 8 * p * p
+
+
+def test_detailed_balance_multiplies_the_numerators_in_float64():
+    # numerators scaled past 2^24 put the fluxes in float64: the flux
+    # (8 p^2 bytes) and its mask, with no float64 copy of the kernel
+    p = 499
+    scaled = build_kernel(make_modulus(p)).scaled * (2**21 + 1)
+    num = stationary_numerators(p)
+    assert exact_dtype(int(num.max()) * int(scaled.max())) is np.float64
+    peak, witness = balance_peak(StochasticKernel(scaled))
+    assert peak < 1.2 * 8 * p * p
+    assert witness is None
+    # one unit moved within row 0, from its one successor 1 to 2
+    scaled[0, 1] -= 1
+    scaled[0, 2] += 1
+    assert detailed_balance(StochasticKernel(scaled)) == (0, 1)
 
 
 def balance_witness_by_loop(kernel, w):
