@@ -48,10 +48,6 @@ from .walk import (
     stationary_numerators,
 )
 
-# Side of the square tiles in which ``spectrum`` symmetrises the kernel
-# in place: each tile pair's product is one small temporary.
-_SYM_TILE = 128
-
 
 class NotReversible(ValueError):
     """Kernel fails detailed balance for the invariant law."""
@@ -118,33 +114,34 @@ def spectrum(kernel: StochasticKernel) -> SpectrumReport:
     ``_eigenvalues`` makes calls 1 and 2 on the same matrix, reducing
     the array it is given in place, with a workspace that gives dsytrd
     the same block size, so it returns W. ``spectrum`` hands it the one
-    array in which it forms sqrt(K(x,y) K(y,x)), in place over the float
-    kernel, a pair of square tiles at a time: for tiles I <= J it takes
-    t = sym[I, J] * sym[J, I]^T, the root of t, and writes t to (I, J)
-    and its transpose to (J, I). Each entry is fl(sqrt(fl(k_xy k_yx)))
-    whichever tile writes it, since float multiplication commutes, so the
-    matrix is bit for bit the whole-array sqrt(k * k^T) and exactly
-    symmetric: its C buffer is also its Fortran buffer, the matrix
-    ``eigh`` copies for dsyevd. dsyevd leaves a matrix unscaled when its
-    largest entry lies in [2^-485, 2^485], as a reversible kernel's does:
-    the entries lie in [0, 1], and the top eigenvalue 1 is at most the
-    largest row sum, so the largest entry is at least 1/p. ``eigvalsh``
-    (dsyevd('N')) would not do: it runs dsterf in place of dstedc, and its
-    last bits differ.
+    array in which it forms sqrt(K(x,y) K(y,x)): the float kernel, with
+    roots taken only in circle 0's row and column. That is bit for bit the
+    whole-array fl(sqrt(fl(k_xy k_yx))):
+
+    * ``detailed_balance`` passes with the weights 1 on circle 0 and p + 1
+      on every other circle, so scaled[x, y] == scaled[y, x] for x, y != 0,
+      and k_xy == k_yx there;
+    * in radix 2 with round-to-nearest, sqrt(RN(k^2)) = |k| unless k^2
+      underflows or overflows (S. Boldo, "Stupid is as stupid does: taking
+      the square root of the square of a floating-point number", ENTCS
+      317, 2015). An entry n/d with 1 <= n <= d < 2^63 has k^2 >= 2^-126,
+      so it never underflows, and a zero entry stays zero.
+
+    So the matrix is exactly symmetric, and its C buffer is also its
+    Fortran buffer, the matrix ``eigh`` copies for dsyevd. dsyevd leaves
+    a matrix unscaled when its largest entry lies in [2^-485, 2^485], as
+    a reversible kernel's does: the entries lie in [0, 1], and the top
+    eigenvalue 1 is at most the largest row sum, so the largest entry is
+    at least 1/p. ``eigvalsh`` (dsyevd('N')) would not do: it runs dsterf
+    in place of dstedc, and its last bits differ.
     """
     witness = detailed_balance(kernel)
     if witness is not None:
         raise NotReversible(f"detailed balance fails at pair {witness}")
     sym = kernel.scaled / kernel.denominator
-    p = kernel.p
-    for i0 in range(0, p, _SYM_TILE):
-        for j0 in range(i0, p, _SYM_TILE):
-            upper = sym[i0:i0 + _SYM_TILE, j0:j0 + _SYM_TILE]
-            lower = sym[j0:j0 + _SYM_TILE, i0:i0 + _SYM_TILE]
-            t = upper * lower.T
-            np.sqrt(t, out=t)
-            upper[...] = t
-            lower[...] = t.T
+    edge = np.sqrt(sym[0] * sym[:, 0])
+    sym[0] = edge
+    sym[:, 0] = edge
     evals = _eigenvalues(sym)[::-1]
     if abs(evals[0] - 1.0) > 1e-9:
         raise ValueError(f"top eigenvalue {evals[0]} is not 1")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class NotPrime(ValueError):
     """Modulus candidate is composite or smaller than 2."""
@@ -34,6 +36,8 @@ class PrimeModulus:
     __slots__ = ("p",)
 
     def __init__(self, n: int):
+        # a numpy integer becomes an int; a float or a str raises TypeError
+        n = operator.index(n)
         if n < 3 or not _is_prime(n):
             raise NotPrime(f"{n} is not an odd prime")
         if n % 4 != 3:

@@ -11,12 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circlewalk.bounds as bounds_mod
 from circlewalk.bounds import _eigenvalues, spectrum
+from circlewalk.circles import StructureTensor
 from circlewalk.cli import main
 from circlewalk.modular import make_modulus, primes_3_mod_4
-from circlewalk.walk import build_kernel
+from circlewalk.walk import StochasticKernel, build_kernel
+from conftest import equilibrium_kernel, walk_kernel
 
 # a child interpreter that imports this checkout's package
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -51,9 +55,49 @@ def test_the_route_finds_numpys_lapack():
 
 # p = 3..23 take dstedc's small-matrix QR branch, the rest divide and conquer
 @pytest.mark.parametrize("p", primes_3_mod_4(3, 499) + [1019])
-def test_spectrum_is_eighs_bit_for_bit(p):
+def test_spectrum_is_eighs_bit_for_bit(monkeypatch, p):
+    # the array handed to LAPACK is sqrt(k * k^T) to the bit, so it is
+    # exactly symmetric and its C and Fortran buffers agree
+    seen = []
+
+    def recording(sym):
+        seen.append(sym.copy())
+        return _eigenvalues(sym)
+
+    monkeypatch.setattr(bounds_mod, "_eigenvalues", recording)
     kernel = build_kernel(make_modulus(p))
     assert np.array_equal(spectrum(kernel).eigenvalues, eigh_oracle(kernel))
+    k = kernel.scaled / kernel.denominator
+    assert np.array_equal(seen[0], np.sqrt(k * k.T))
+
+
+@pytest.mark.parametrize("p", primes_3_mod_4(3, 43))
+def test_spectrum_is_eighs_bit_for_bit_on_every_reversible_kernel(p):
+    # every C_m walk, the equilibrium chain and the identity: ``spectrum``
+    # takes roots only in circle 0's row and column, which is exact for
+    # any kernel that passes detailed balance
+    tensor = StructureTensor(make_modulus(p))
+    kernels = [walk_kernel(tensor, m) for m in range(1, p)]
+    kernels += [equilibrium_kernel(p),
+                StochasticKernel(np.eye(p, dtype=np.int64))]
+    for kernel in kernels:
+        assert np.array_equal(spectrum(kernel).eigenvalues,
+                              eigh_oracle(kernel))
+
+
+def test_the_root_of_a_square_is_the_entry_at_every_walk_weight():
+    # sqrt(RN(k^2)) == k in radix 2 unless k^2 underflows or overflows:
+    # the entries 1/(p+1) and 2/(p+1) of the circle walks, every p = 3
+    # (mod 4) below 10^6
+    for num in [1, 2]:
+        v = num / (np.arange(3, 10**6, 4) + 1)
+        assert np.array_equal(np.sqrt(v * v), v)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(2.0**-500, 2.0**500))
+def test_the_root_of_a_square_is_the_entry(v):
+    assert np.sqrt(v * v) == v
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -94,8 +138,8 @@ def test_dsyevd_never_rescales_a_walk(p):
 
 
 def test_spectrum_holds_two_p_by_p_arrays():
-    # beside the kernel: sqrt(K K^T), formed over the float kernel by
-    # tiles, reduced in place and then overwritten by dstedc's eigenvector
+    # beside the kernel: sqrt(K K^T), formed over the float kernel,
+    # reduced in place and then overwritten by dstedc's eigenvector
     # matrix, and dstedc's workspace
     p = 1019
     kernel = build_kernel(make_modulus(p))

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from circlewalk.bounds import bound_report
 from circlewalk.circles import square_table
 from circlewalk.modular import (
     NotPrime,
@@ -28,6 +30,25 @@ def test_rejects_non_primes_and_small(n):
     # either class raise NotPrime (3999 = 3 * 31 * 43)
     with pytest.raises(NotPrime):
         make_modulus(n)
+
+
+def test_a_numpy_integer_is_read_as_an_int():
+    m = make_modulus(np.int64(7))
+    assert type(m.p) is int and m.p == 7
+    assert bound_report(m) == bound_report(make_modulus(7))
+
+
+@pytest.mark.parametrize("n", [7.0, "7"])
+def test_rejects_a_non_integer(n):
+    # before any comparison: 7.0 would otherwise pass both gates and fail
+    # later, inside the tensor's modular powers
+    with pytest.raises(TypeError):
+        make_modulus(n)
+
+
+def test_true_is_the_integer_1():
+    with pytest.raises(NotPrime, match="^1 is not an odd prime$"):
+        make_modulus(True)
 
 
 def test_accepts_4003():
