@@ -182,7 +182,8 @@ def _eigenvalues(sym: np.ndarray) -> np.ndarray:
 @functools.cache
 def _lapack():
     """``dsytrd`` and ``dstedc`` of the LAPACK that ``numpy.linalg``
-    links, found once per process on first use, or None.
+    links, found once per process on first use (``scan`` finds them
+    before it forks its workers), or None.
 
     The extension module's handle resolves the symbols through its own
     dependencies. Only the names of numpy's wheels are tried: scipy-openblas
@@ -243,9 +244,10 @@ def comparison_bound(kernel: StochasticKernel) -> ComparisonBound:
     denominator / p^2 times load / capacity, for the integer load
     sum |path| w_x w_y and capacity w_z scaled(z, u). A path crosses an edge
     at most once, so a load is below 3 (sum w)^2 = 3 p^4 < 2^63 for p below
-    about 41,000, where the kernel alone would take 13 GB: the loads add
-    exactly, in any order, in int64. A is the exact maximum, rounded once;
-    a walk kernel's edges have two capacities, p + 1 and 2 (p + 1).
+    about 41,000, where the int32 kernel alone would take 6.7 GB: the
+    loads add exactly, in any order, in int64. A is the exact maximum,
+    rounded once; a walk kernel's edges have two capacities, p + 1 and
+    2 (p + 1).
     """
     p = kernel.p
     w = stationary_numerators(p)

@@ -72,6 +72,14 @@ def square_table(p: int) -> np.ndarray:
     return table
 
 
+def n1_dtype(p: int) -> type:
+    """Signed dtype of N_1 and of the index that gathers it: int16 while
+    every index, at most 2p - 1, fits (2p < 2^15: p <= 16363 among primes
+    = 3 mod 4), else int32, which holds them below p = 2^30, where N_1
+    would take 2^62 bytes. Every entry, at most p + 1, fits too."""
+    return np.int16 if 2 * p < 2**15 else np.int32
+
+
 class StructureTensor:
     """Exact accessor for the product coefficients n_ij^k.
 
@@ -81,9 +89,9 @@ class StructureTensor:
     non-square gives 0, zero gives 1/(p+1), nonzero square gives 2/(p+1).
 
     The closed form is evaluated once, for the C_1 block N_1 (``n1``,
-    read-only int64), and every other block is gathered from it
-    (``numerators``); the dense table of all blocks is built on request
-    and only for p up to DENSE_TABLE_LIMIT.
+    read-only, in ``n1_dtype(p)``), and every other block is gathered
+    from it (``numerators``); the dense table of all blocks is built on
+    request and only for p up to DENSE_TABLE_LIMIT.
 
     N_1 is one gather. Let q(d) = d^2 / 4 mod p, and c(r) = 0, 1 or 2
     as r is a non-square, zero or a nonzero square mod p. At i = 1,
@@ -95,17 +103,19 @@ class StructureTensor:
     p-1-j is row j of Q, and Q is a view of 2p integers. As j and
     Q[j, k] lie in [0, p), the index j + p - Q[j, k] lies in [1, 2p),
     where c repeated twice holds c((j - Q[j, k]) mod p). Row j = 0 is
-    the identity row and is written apart.
+    the identity row and is written apart. q, c and the index are held
+    in N_1's dtype once q is reduced, since r^2 would overflow it.
     """
 
     def __init__(self, modulus: PrimeModulus):
         p = self.p = modulus.p
+        dtype = n1_dtype(p)
         r = np.arange(p, dtype=np.int64)
-        q = r * r % p * pow(4, -1, p) % p
-        c = 2 * square_table(p).astype(np.int64)
+        q = (r * r % p * pow(4, -1, p) % p).astype(dtype)
+        c = 2 * square_table(p).astype(dtype)
         c[0] = 1
         circulant = sliding_window_view(np.tile(q, 2), p)[p - 1::-1]
-        n1 = np.tile(c, 2)[(r + p)[:, None] - circulant]
+        n1 = np.tile(c, 2)[np.arange(p, 2 * p, dtype=dtype)[:, None] - circulant]
         # j = 0 is the identity: n_10^k = [k == 1]
         n1[0] = 0
         n1[0, 1] = p + 1
@@ -117,8 +127,8 @@ class StructureTensor:
         return Fraction(self.scaled(i, j, k), self.p + 1)
 
     def numerators(self, i: int) -> np.ndarray:
-        """(p, p) int64 block of the numerators of n_ij^k over p + 1,
-        indexed [j, k], identity rows included.
+        """(p, p) writable int64 block of the numerators of n_ij^k over
+        p + 1, indexed [j, k], identity rows included.
 
         For i != 0 this is N_1 relabelled, N_i[j, k] = N_1[j/i, k/i],
         because the product is invariant under dilation: n_{ai,aj}^{ak} =
@@ -139,7 +149,7 @@ class StructureTensor:
         if i == 0:
             return (p + 1) * np.eye(p, dtype=np.int64)
         s = np.arange(p) * pow(i, -1, p) % p
-        return self.n1[np.ix_(s, s)]
+        return self.n1[np.ix_(s, s)].astype(np.int64)
 
     def scaled(self, i: int, j: int, k: int) -> int:
         """Numerator of n_ij^k over the common denominator p + 1.

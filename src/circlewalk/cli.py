@@ -315,6 +315,9 @@ def cmd_scan(args) -> int:
     # the fork pool starts every worker at the first submit
     workers = min(args.jobs, _usable_cores(), len(tasks))
     if workers > 1:
+        # a worker that located LAPACK in its first task would keep the
+        # handle above that task's freed arrays, and grow its heap past them
+        bounds_mod._lapack()
         pool_class = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
         with pool_class(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, tasks))

@@ -50,10 +50,11 @@ class StochasticKernel:
     common denominator; a stage that reads floats divides them itself.
 
     The denominator is the rows' common total, read off row 0; every
-    other row is checked to total the same at construction. A read-only
-    int64 array that owns its data, such as ``StructureTensor.n1``, is
-    kept as it is; any other input is copied, so no caller can change
-    the kernel's numerators.
+    other row is checked to total the same, in int64. A read-only signed
+    integer array that owns its data, such as the int16 ``n1`` of
+    ``StructureTensor``, is kept as it is (a product of its entries must
+    name a dtype that holds it); any other input is copied to int64, so
+    no caller can change the numerators.
     """
 
     __slots__ = ("p", "scaled", "denominator")
@@ -66,12 +67,12 @@ class StochasticKernel:
             raise ValueError("kernel must have a state")
         if not np.issubdtype(scaled.dtype, np.integer):
             raise ValueError("scaled entries must be integers")
-        if (scaled.dtype != np.int64 or scaled.flags.writeable
-                or not scaled.flags.owndata):
+        if (not np.issubdtype(scaled.dtype, np.signedinteger)
+                or scaled.flags.writeable or not scaled.flags.owndata):
             scaled = scaled.astype(np.int64)
         if (scaled < 0).any():
             raise ValueError("negative kernel entry")
-        totals = scaled.sum(axis=1)
+        totals = scaled.sum(axis=1, dtype=np.int64)
         denominator = int(totals[0])
         if denominator <= 0:
             raise ValueError("row 0 must have a positive total")
@@ -96,9 +97,9 @@ class StochasticKernel:
 def build_kernel(modulus: PrimeModulus) -> StochasticKernel:
     """Kernel of the C_1 walk: entry (i, j) is n_i1^j = n_1i^j, the
     numerators ``StructureTensor(modulus).n1`` over p + 1, held as that
-    array, not a copy of it. The C_m walk, m != 0, is this kernel
-    relabelled by k -> k/m (its numerators are ``numerators(m)``), so
-    every generator has the same mixing time, spectrum and bounds."""
+    int16 array up to p = 16363, not a copy of it. The C_m walk, m != 0,
+    is this kernel relabelled by k -> k/m (``numerators(m)``), so every
+    generator has the same mixing time, spectrum and bounds."""
     return StochasticKernel(StructureTensor(modulus).n1)
 
 

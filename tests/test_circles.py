@@ -10,6 +10,7 @@ from circlewalk.circles import (
     StructureTensor,
     circle_points,
     exact_dtype,
+    n1_dtype,
     pair_quadrance_counts,
     square_table,
     structure_constant_bruteforce,
@@ -203,8 +204,28 @@ def test_n1_is_the_closed_form_at_every_prime_to_2003():
     for p in primes_3_mod_4(7, 2003):
         m = make_modulus(p)
         n1 = StructureTensor(m).n1
-        assert n1.dtype == np.int64 and not n1.flags.writeable
+        assert n1.dtype == np.int16 and not n1.flags.writeable
         assert np.array_equal(n1, closed_form_block(m, 1)), p
+
+
+def test_n1_is_int16_while_the_gather_index_fits():
+    # the index j + p - Q[j, k] reaches 2p - 1 and an entry p + 1; 16363
+    # and 16411 are the primes = 3 (mod 4) either side of 2p = 2^15
+    assert primes_3_mod_4(16363, 16411) == [16363, 16411]
+    assert n1_dtype(7) is n1_dtype(16363) is np.int16
+    assert 2 * 16363 - 1 <= np.iinfo(np.int16).max < 2 * 16411 - 1
+    assert n1_dtype(16411) is n1_dtype(2**30 - 1) is np.int32
+
+
+def test_numerators_are_writable_int64_blocks():
+    # the narrow N_1 is widened after the gather: the blocks hold any
+    # int64 value a caller writes, and N_1 stays as it was
+    t = StructureTensor(make_modulus(11))
+    for i in range(11):
+        block = t.numerators(i)
+        assert block.dtype == np.int64 and block.flags.writeable
+        block[1, 1] = 2**62
+    assert np.array_equal(t.n1, closed_form_block(make_modulus(11), 1))
 
 
 @pytest.mark.parametrize("p", primes_3_mod_4(3, 43))

@@ -507,7 +507,7 @@ def test_scan_out_of_memory_exit_1(capsys, monkeypatch):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps memory on Linux")
 def test_a_kernel_past_the_address_space_exits_1():
-    # the 100003 x 100003 int64 kernel is 74.5 GiB, far past a 3 GiB cap
+    # the 100003 x 100003 int32 gather index is 37.3 GiB, far past a 3 GiB cap
     import resource
 
     def cap():
@@ -626,6 +626,33 @@ def test_scan_jobs_defaults_to_every_cpu_without_the_affinity(
     assert args.jobs == (os.cpu_count() or 1)
     assert run(capsys, "scan", "--p-min", "7", "--p-max", "11",
                "--jobs", "1")[0] == 0
+
+
+def test_scan_locates_lapack_before_it_forks(capsys, monkeypatch):
+    # the workers inherit the route rather than each locating it in the
+    # middle of its first task
+    import circlewalk.cli as cli_mod
+
+    located = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            located.append(cli_mod.bounds_mod._lapack.cache_info().currsize)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0, 1})
+    cli_mod.bounds_mod._lapack.cache_clear()
+    assert run(capsys, "scan", "--p-min", "7", "--p-max", "11", "--jobs", "2")[0] == 0
+    assert located == [1]
 
 
 def test_start_up_leaves_the_process_pool_unimported():

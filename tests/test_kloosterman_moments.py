@@ -49,7 +49,8 @@ def trace_power(n, p):
 
 @pytest.mark.parametrize("p", primes_3_mod_4(3, 211))
 def test_traces_equal_the_kloosterman_moments_exactly(p):
-    s = StructureTensor(make_modulus(p)).n1  # int64
+    # widened: the narrow N_1 would wrap in these products
+    s = StructureTensor(make_modulus(p)).n1.astype(np.int64)
     # every row of S^n sums to (p+1)^n and no entry is negative, so each
     # entry and partial sum below is at most p (p+1)^4 < 2^63: exact
     s2 = s @ s

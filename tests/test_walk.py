@@ -78,10 +78,9 @@ def test_kernel_reads_its_denominator_and_is_immutable():
 
 
 def test_a_kernel_holds_one_array():
-    # the int64 numerators are 8 p^2 bytes; a float64 projection kept
-    # next to them would double that. The gather that makes them needs
-    # one int64 index array of the same size beside them, and a copy of
-    # them in the kernel would be a third
+    # the int16 numerators are 2 p^2 bytes; an int64 copy or a float64
+    # projection kept next to them would add 8 p^2. The gather that makes
+    # them needs one int16 index array of the same size beside them
     p = 1019
     m = make_modulus(p)
     tracemalloc.start()
@@ -91,19 +90,38 @@ def test_a_kernel_holds_one_array():
     finally:
         tracemalloc.stop()
     assert kernel.p == p
-    assert retained <= 1.05 * 8 * p * p
-    assert peak < 2.1 * 8 * p * p
+    assert retained <= 1.05 * 2 * p * p
+    assert peak < 2.1 * 2 * p * p
 
 
 def test_a_kernel_keeps_the_tensors_array():
     t = StructureTensor(make_modulus(103))
     assert StochasticKernel(t.n1).scaled is t.n1
     scaled = build_kernel(make_modulus(103)).scaled
-    assert scaled.dtype == np.int64 and not scaled.flags.writeable
+    assert scaled.dtype == t.n1.dtype == np.int16 and not scaled.flags.writeable
     assert np.array_equal(scaled, t.n1)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_a_kernel_keeps_a_read_only_signed_array_of_any_width(dtype):
+    # row totals add in int64, past what the dtype holds: 3 * 100 > 127
+    scaled = np.array([[0, 100, 100, 100], [100, 0, 100, 100],
+                       [100, 100, 0, 100], [100, 100, 100, 0]], dtype=dtype)
+    scaled.setflags(write=False)
+    kernel = StochasticKernel(scaled)
+    assert kernel.scaled is scaled and kernel.denominator == 300
+    assert (kernel.scaled / kernel.denominator).tolist() == (
+        scaled.astype(np.int64) / 300).tolist()
+
+
+def test_a_kernel_copies_an_unsigned_array_to_int64():
+    scaled = np.array([[0, 3], [1, 2]], dtype=np.uint16)
+    scaled.setflags(write=False)
+    kernel = StochasticKernel(scaled)
+    assert kernel.scaled.dtype == np.int64 and kernel.denominator == 3
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16])
 @pytest.mark.parametrize("read_only_view", [False, True])
 def test_a_kernel_copies_what_its_caller_can_change(dtype, read_only_view):
     n1 = StructureTensor(make_modulus(11)).n1
@@ -191,9 +209,10 @@ def test_detailed_balance_multiplies_the_numerators_in_float32():
 
 def test_detailed_balance_multiplies_the_numerators_in_float64():
     # numerators scaled past 2^24 put the fluxes in float64: the flux
-    # (8 p^2 bytes) and its mask, with no float64 copy of the kernel
+    # (8 p^2 bytes) and its mask, with no float64 copy of the kernel.
+    # The int16 numerators are widened first: the product would not fit
     p = 499
-    scaled = build_kernel(make_modulus(p)).scaled * (2**21 + 1)
+    scaled = build_kernel(make_modulus(p)).scaled.astype(np.int64) * (2**21 + 1)
     num = stationary_numerators(p)
     assert exact_dtype(int(num.max()) * int(scaled.max())) is np.float64
     peak, witness = balance_peak(StochasticKernel(scaled))
