@@ -90,8 +90,9 @@ class StructureTensor:
 
     The closed form is evaluated once, for the C_1 block N_1 (``n1``,
     read-only, in ``n1_dtype(p)``), and every other block is gathered
-    from it (``numerators``); the dense table of all blocks is built on
-    request and only for p up to DENSE_TABLE_LIMIT.
+    from it (``numerators``) in that dtype, the one dtype of every
+    numerator array built here; the dense table of all blocks is built
+    on request and only for p up to DENSE_TABLE_LIMIT.
 
     N_1 is one gather. Let q(d) = d^2 / 4 mod p, and c(r) = 0, 1 or 2
     as r is a non-square, zero or a nonzero square mod p. At i = 1,
@@ -127,8 +128,9 @@ class StructureTensor:
         return Fraction(self.scaled(i, j, k), self.p + 1)
 
     def numerators(self, i: int) -> np.ndarray:
-        """(p, p) writable int64 block of the numerators of n_ij^k over
-        p + 1, indexed [j, k], identity rows included.
+        """(p, p) block of the numerators of n_ij^k over p + 1, indexed
+        [j, k], identity rows included: a fresh writable array in N_1's
+        dtype, so writing to it leaves ``n1`` as it was.
 
         For i != 0 this is N_1 relabelled, N_i[j, k] = N_1[j/i, k/i],
         because the product is invariant under dilation: n_{ai,aj}^{ak} =
@@ -147,9 +149,9 @@ class StructureTensor:
         i = operator.index(i)
         _check_index(p, i)
         if i == 0:
-            return (p + 1) * np.eye(p, dtype=np.int64)
+            return (p + 1) * np.eye(p, dtype=self.n1.dtype)
         s = np.arange(p) * pow(i, -1, p) % p
-        return self.n1[np.ix_(s, s)].astype(np.int64)
+        return self.n1[np.ix_(s, s)]
 
     def scaled(self, i: int, j: int, k: int) -> int:
         """Numerator of n_ij^k over the common denominator p + 1.
@@ -271,11 +273,12 @@ def contraction_dtype(blocks) -> type:
     (the i-slices of a table, or a pair of blocks) are exact.
 
     Every term and partial sum of a product of two of them, such as
-    sum_t e[i,j,t] e[t,k,m] in ``associativity_witness`` or N_i N_1 in
-    the certificate, is an integer of magnitude at most B = (largest row
-    sum of |entries|) * (largest |entry|), and ``exact_dtype(B)`` holds
-    them all. A valid table has B = (p+1)^2, so float32; tampered tables
-    may need float64, int64 or Python integers.
+    sum_t e[i,j,t] e[t,k,m] in ``associativity_witness``, is an integer
+    of magnitude at most B = (largest row sum of |entries|) * (largest
+    |entry|), and ``exact_dtype(B)`` holds them all. Only the exhaustive
+    fallback needs it, since its tables may fail every other check: a
+    valid table has B = (p+1)^2, so float32, and tampered tables may
+    need float64, int64 or Python integers.
     """
     row_l1, peak = map(max, zip(*map(_magnitude, blocks)))
     return exact_dtype(row_l1 * peak)
@@ -367,18 +370,27 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
     polynomial in N_1 and all N_i commute. With 1 the product is
     commutative, (p+1) n_ji = e_0 N_i N_j = e_0 N_j N_i = (p+1) n_ij, and
     associative, (ab)c = c(ab) = a(cb) = a(bc). Steps 1 and 2 run on
-    each block, in the dtype ``contraction_dtype`` proves exact (float32
-    for every valid table); step 3 runs last, and only if every block
-    passed them. If any step fails, the dense ``scaled_table`` is built,
-    commutativity is read off its first witness, and the exhaustive
-    ``associativity_witness`` compares sum_t n_ij^t n_tk^m with
-    sum_t n_jk^t n_it^m for all quadruples and names the first witness.
+    each block while every block read so far has passed positivity and
+    normalization; step 3 runs last, and only if every block passed
+    them all. Then every entry lies in [0, p + 1] and every row sums to
+    p + 1, so every term and partial sum of N_i N_1 and N_1 N_i is an
+    integer in [0, (p + 1)^2], and the one dtype
+    ``exact_dtype((p + 1) ** 2)`` (float32 below p = 4095, float64
+    past it) is exact for every product. N_1 is converted to it once,
+    and so enters the i = 0 product before its own checks at i = 1; but
+    a certificate survives only if those checks pass, and then that
+    product was exact. If any step fails, the dense ``scaled_table`` is
+    built, commutativity is read off its first witness, and the
+    exhaustive ``associativity_witness`` compares sum_t n_ij^t n_tk^m
+    with sum_t n_jk^t n_it^m for all quadruples and names the first
+    witness.
     """
     p = tensor.p
     if p > DENSE_TABLE_LIMIT:
         raise ValueError(f"axiom checks for p={p} exceed limit {DENSE_TABLE_LIMIT}")
     n1 = tensor.numerators(1)
-    n1_magnitude = _magnitude(n1)
+    dtype = exact_dtype((p + 1) ** 2)
+    b = n1.astype(dtype)
     circles = np.arange(p)
     positivity = normalization = hermitian = None
     certified = True
@@ -393,12 +405,10 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
             herm_bad = (block[:, 0] > 0) != (circles == i)
             herm_bad[0] = False
             hermitian = hermitian or _first_witness(herm_bad, i)
-        certified = certified and np.array_equal(block[0], (p + 1) * (circles == i))
+        certified = (certified and positivity is None and normalization is None
+                     and np.array_equal(block[0], (p + 1) * (circles == i)))
         if certified:
-            # contraction_dtype((block, n1)), with the magnitude of N_1 kept
-            row_l1, peak = map(max, _magnitude(block), n1_magnitude)
-            dtype = exact_dtype(row_l1 * peak)
-            a, b = block.astype(dtype), n1.astype(dtype)
+            a = block.astype(dtype)
             certified = np.array_equal(a @ b, b @ a)
 
     if certified and c1_generates(n1):

@@ -159,7 +159,8 @@ def test_large_entry_takes_the_int64_path():
 def test_int32_extremes_take_python_integers():
     p = 7
     table = _TABLES[p].copy()
-    # symmetric, so the certificate also contracts in Python integers
+    # symmetric, so commutativity holds, but positivity fails: the
+    # certificate is not tried and the exhaustive check names the witness
     table[2, 3, 4:6] = table[3, 2, 4:6] = np.iinfo(np.int32).min
     # B = 2^32 * 2^31: int64 partial sums could wrap
     assert contraction_dtype(table) is object
@@ -176,8 +177,9 @@ def test_symmetric_overwrite(p, data):
     i, j, k = data.draw(idx), data.draw(idx), data.draw(idx)
     table = _TABLES[p].copy()
     # the current value keeps the table valid, so the certificate is drawn
-    # too; the large values put both paths in each contraction_dtype tier
-    # (no row holds two of them, so int64 stays exact for the oracle)
+    # too; any other value breaks normalization, and the large ones put the
+    # exhaustive path in each contraction_dtype tier (no row holds two of
+    # them, so int64 stays exact for the oracle)
     value = data.draw(st.sampled_from(
         [int(table[i, j, k]), -1, 0, 1, 2, p + 1, 5000, 10**8, -(2**31)]
     ))
@@ -273,6 +275,32 @@ def test_valid_tables_are_certified_in_o_p2_memory(p):
         tracemalloc.stop()
     assert report.all_passed
     assert peak < 16 * 8 * p * p  # sixteen int64 (p, p) blocks
+
+
+@pytest.mark.parametrize("p", [7, 11, 103])
+def test_the_certificate_reads_one_exactness_bound(p):
+    # once positivity and normalization hold, every partial sum of N_i N_1
+    # lies in [0, (p + 1)^2]: one dtype serves every block
+    with mock.patch.object(circles, "exact_dtype",
+                           wraps=circles.exact_dtype) as exact_dtype:
+        report = validate_axioms(StructureTensor(make_modulus(p)))
+    assert report.associativity.method == "generator-commutant"
+    exact_dtype.assert_called_once_with((p + 1) ** 2)
+
+
+def test_the_certificate_converts_n1_once():
+    # int16 blocks and one float32 N_1 held across the loop peak near
+    # 55 p^2 bytes; an int64 block, or N_1 converted for every block,
+    # passes 60
+    p = 307
+    tracemalloc.start()
+    try:
+        report = validate_axioms(StructureTensor(make_modulus(p)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak < 60 * p * p
 
 
 @settings(max_examples=60, deadline=None)

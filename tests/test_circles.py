@@ -217,15 +217,16 @@ def test_n1_is_int16_while_the_gather_index_fits():
     assert n1_dtype(16411) is n1_dtype(2**30 - 1) is np.int32
 
 
-def test_numerators_are_writable_int64_blocks():
-    # the narrow N_1 is widened after the gather: the blocks hold any
-    # int64 value a caller writes, and N_1 stays as it was
-    t = StructureTensor(make_modulus(11))
-    for i in range(11):
+@pytest.mark.parametrize("p", [7, 11])
+def test_numerators_are_fresh_writable_blocks_in_n1_dtype(p):
+    # every block is served in N_1's own dtype, as a fresh array: writing
+    # to it leaves N_1 as it was
+    t = StructureTensor(make_modulus(p))
+    for i in range(p):
         block = t.numerators(i)
-        assert block.dtype == np.int64 and block.flags.writeable
-        block[1, 1] = 2**62
-    assert np.array_equal(t.n1, closed_form_block(make_modulus(11), 1))
+        assert block.dtype == t.n1.dtype and block.flags.writeable
+        block[1, 1] = -1
+        assert np.array_equal(t.n1, closed_form_block(make_modulus(p), 1)), i
 
 
 @pytest.mark.parametrize("p", primes_3_mod_4(3, 43))

@@ -100,7 +100,8 @@ def assert_tampered_export_is_the_oracle(p, cells, fmt_name):
     original = StructureTensor.numerators
 
     def tampered(self, i):
-        block = original(self, i)
+        # the blocks are in N_1's narrow dtype; the cells take int64 values
+        block = original(self, i).astype(np.int64)
         for (ci, j, k), v in cells.items():
             if ci == i:
                 block[j, k] = v

@@ -243,7 +243,8 @@ def test_detailed_balance_witness_matches_the_fraction_loop(chain, p, data):
     # moved within a row; the scales put the fluxes in each exact_dtype
     # tier, where they differ only in their last units
     scale = data.draw(st.sampled_from([1, 3, 2**21 + 1, 2**50 + 1, 2**57 + 1]))
-    scaled = tensor.numerators(g) * scale
+    # the block is in N_1's narrow dtype, so it is widened before the scale
+    scaled = tensor.numerators(g).astype(np.int64) * scale
     for _ in range(data.draw(st.integers(0, 3))):
         x = data.draw(st.integers(0, p - 1))
         source = data.draw(st.sampled_from(np.flatnonzero(scaled[x]).tolist()))
