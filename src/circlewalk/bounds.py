@@ -28,7 +28,6 @@ are kept as reference lines next to the computed ones.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -160,10 +159,9 @@ def _eigenvalues(sym: np.ndarray) -> np.ndarray:
     a caller that still needs the matrix passes a copy. An array that is
     not a writable C-contiguous float64 one is copied first, and the copy
     is reduced and overwritten instead."""
-    lapack = _lapack()
-    if lapack is None:
+    if _LAPACK is None:
         return np.linalg.eigh(sym)[0]
-    dsytrd, dstedc = lapack
+    dsytrd, dstedc = _LAPACK
     n = len(sym)
     a = np.require(sym, np.float64, ["C", "W"])
     d, e, tau, query = np.empty(n), np.empty(n), np.empty(n), np.empty(1)
@@ -179,11 +177,10 @@ def _eigenvalues(sym: np.ndarray) -> np.ndarray:
     return d
 
 
-@functools.cache
 def _lapack():
     """``dsytrd`` and ``dstedc`` of the LAPACK that ``numpy.linalg``
-    links, found once per process on first use (``scan`` finds them
-    before it forks its workers), or None.
+    links, or None; found once, as ``_LAPACK``, when this module is
+    imported, so ``scan``'s forked workers inherit them.
 
     The extension module's handle resolves the symbols through its own
     dependencies. Only the names of numpy's wheels are tried: scipy-openblas
@@ -196,6 +193,9 @@ def _lapack():
         return lib.scipy_dsytrd_64_, lib.scipy_dstedc_64_
     except (ImportError, AttributeError, OSError):
         return None
+
+
+_LAPACK = _lapack()
 
 
 def _lapack_call(routine, job: bytes, *args) -> None:

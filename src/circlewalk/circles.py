@@ -307,14 +307,16 @@ def associativity_witness(table: np.ndarray, dtype) -> tuple[int, ...] | None:
     return None
 
 
-def nonsingular_mod(matrix: np.ndarray, q: int) -> bool:
-    """Whether a square integer matrix is invertible over F_q, for a
+def nonsingular_mod(m: np.ndarray, q: int) -> bool:
+    """Whether a square int64 matrix is invertible over F_q, for a
     prime q < 2^26.
 
-    Gaussian elimination in int64, reduced mod q after every product, so
-    no entry or product exceeds q^2 < 2^52.
+    Gaussian elimination in place: ``m`` is reduced mod q and then
+    overwritten, so a caller that still needs it passes a copy. Entries
+    are reduced mod q after every product, so no entry or product
+    exceeds q^2 < 2^52.
     """
-    m = np.asarray(matrix, dtype=np.int64) % q
+    m %= q
     for c in range(m.shape[0]):
         nonzero = np.flatnonzero(m[c:, c])
         if nonzero.size == 0:
@@ -322,7 +324,8 @@ def nonsingular_mod(matrix: np.ndarray, q: int) -> bool:
         r = c + int(nonzero[0])
         m[[c, r]] = m[[r, c]]
         m[c, c:] = m[c, c:] * pow(int(m[c, c]), -1, q) % q
-        m[c + 1:, c:] = (m[c + 1:, c:] - m[c + 1:, c, None] * m[c, c:]) % q
+        m[c + 1:, c:] -= m[c + 1:, c, None] * m[c, c:]
+        m[c + 1:, c:] %= q
     return True
 
 
@@ -337,7 +340,8 @@ def c1_generates(block: np.ndarray) -> bool:
     """
     p = block.shape[0]
     q = _KRYLOV_PRIME
-    n1 = block.astype(np.int64) % q
+    n1 = block.astype(np.int64)
+    n1 %= q
     krylov = np.empty((p, p), dtype=np.int64)
     v = np.zeros(p, dtype=np.int64)
     v[0] = 1

@@ -126,51 +126,34 @@ _LAYOUTS = {
 }
 
 
-def _block_rows(rows: list, i: int, j0: int, num, den: int, layout, tails) -> None:
-    """Append to ``rows`` the text of the export rows j0, j0 + 1, ... of
-    the i-block, whose numerators ``num`` (one row per j, one column per
-    k) are over ``den``.
-
-    ``tails`` maps (value, den) to that value's tail strings, one per k,
-    and lives for one export, so each is formatted once. A real block's
-    values span fewer than p integers, and it indexes them by num - min;
-    only a tampered table spans more, and finds its values by a sort.
-    """
-    _, head, tail, sep, _ = layout
-    p = num.shape[1]
-    lo, hi = int(num.min()), int(num.max())  # hi - lo can overflow int64
-    if hi - lo < p:
-        values, index = range(lo, hi + 1), num - lo
-    else:
-        values, inverse = np.unique(num, return_inverse=True)
-        values, index = values.tolist(), inverse.reshape(num.shape)
-    for v in values:
-        if (v, den) not in tails:
-            tails[v, den] = [tail % (k, v, den) for k in range(p)]
-    table = np.array([tails[v, den] for v in values], dtype=object)
-    for j, texts in enumerate(table[index, np.arange(p)].tolist(), j0):
-        h = head % (i, j)
-        rows.append(h + (sep + h).join(texts))
-
-
 def _export_chunks(tensor, layout):
     """The export text in the ``_LAYOUTS`` entry ``layout``, one chunk
     per i-block, so memory stays at O(p^2). The identity rows (a zero
     index) print the integer numerator // (p + 1) over 1, the others the
-    numerator over p + 1."""
-    start, _, _, sep, end = layout
+    numerator over p + 1.
+
+    A real block holds 0, 1 or 2 over p + 1, and 0 or 1 over 1 on its
+    identity rows, so ``cells[den][v, k]``, the tail of value v at k,
+    is formatted once per export, and each block's rows gather from it.
+    """
+    start, head, tail, sep, end = layout
     p = tensor.p
-    tails = {}
+    ks = np.arange(p)
+    cells = {den: np.array([[tail % (k, v, den) for k in range(p)]
+                            for v in range(3)], dtype=object)
+             for den in (1, p + 1)}
     for i in range(p):
         block = tensor.numerators(i)
         ones = p if i == 0 else 1  # rows j < ones are identity rows
+        texts = (cells[1][block[:ones] // (p + 1), ks].tolist()
+                 + cells[p + 1][block[ones:], ks].tolist())
         # a later block's rows join onto "", so its text starts with sep
         rows = [""] if i else []
-        _block_rows(rows, i, 0, block[:ones] // (p + 1), 1, layout, tails)
-        if ones < p:
-            _block_rows(rows, i, ones, block[ones:], p + 1, layout, tails)
+        for j, row in enumerate(texts):
+            h = head % (i, j)
+            rows.append(h + (sep + h).join(row))
         text = sep.join(rows)
-        del block, rows  # only the text is held while it is written
+        del block, texts, rows  # only the text is held while it is written
         # block 0 carries the start: a small first write would be copied
         # again with the second
         yield text if i else start % {"p": p} + text
@@ -315,9 +298,6 @@ def cmd_scan(args) -> int:
     # the fork pool starts every worker at the first submit
     workers = min(args.jobs, _usable_cores(), len(tasks))
     if workers > 1:
-        # a worker that located LAPACK in its first task would keep the
-        # handle above that task's freed arrays, and grow its heap past them
-        bounds_mod._lapack()
         pool_class = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
         with pool_class(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, tasks))

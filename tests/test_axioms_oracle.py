@@ -289,9 +289,8 @@ def test_the_certificate_reads_one_exactness_bound(p):
 
 
 def test_the_certificate_converts_n1_once():
-    # int16 blocks and one float32 N_1 held across the loop peak near
-    # 55 p^2 bytes; an int64 block, or N_1 converted for every block,
-    # passes 60
+    # int16 blocks and one float32 N_1 held across the loop; an int64
+    # block, or N_1 converted for every block, once passed 60 p^2 bytes
     p = 307
     tracemalloc.start()
     try:
@@ -303,13 +302,31 @@ def test_the_certificate_converts_n1_once():
     assert peak < 60 * p * p
 
 
+def test_the_krylov_rank_reduces_in_place():
+    # c1_generates sets the peak: its int64 N_1 mod q, the Krylov matrix
+    # and one elimination temporary, about 37 p^2 bytes with the loop's
+    # arrays; copies of N_1 or of the Krylov matrix, or a second
+    # temporary per step, reach 52
+    p = 307
+    tracemalloc.start()
+    try:
+        report = validate_axioms(StructureTensor(make_modulus(p)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.associativity.method == "generator-commutant"
+    assert peak < 42 * p * p
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 5), data=st.data())
 def test_nonsingular_mod_matches_the_rational_rank(n, data):
     cells = st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)
     m = np.array(data.draw(cells), dtype=np.int64).reshape(n, n)
-    # |det| <= 5! * 3^5 < q, so m is singular mod q exactly when over Q
-    assert nonsingular_mod(m, _KRYLOV_PRIME) == (np.linalg.matrix_rank(m) == n)
+    # |det| <= 5! * 3^5 < q, so m is singular mod q exactly when over Q;
+    # the rank is taken first, since nonsingular_mod overwrites m
+    full_rank = np.linalg.matrix_rank(m) == n
+    assert nonsingular_mod(m, _KRYLOV_PRIME) == full_rank
 
 
 def test_krylov_rank_reduces_tampered_entries_mod_q():

@@ -629,15 +629,16 @@ def test_scan_jobs_defaults_to_every_cpu_without_the_affinity(
 
 
 def test_scan_locates_lapack_before_it_forks(capsys, monkeypatch):
-    # the workers inherit the route rather than each locating it in the
-    # middle of its first task
+    # bounds locates the route when it is imported, so the workers
+    # inherit it rather than each locating it in the middle of its first
+    # task
     import circlewalk.cli as cli_mod
 
     located = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            located.append(cli_mod.bounds_mod._lapack.cache_info().currsize)
+            located.append(cli_mod.bounds_mod._LAPACK)
 
         def __enter__(self):
             return self
@@ -650,9 +651,8 @@ def test_scan_locates_lapack_before_it_forks(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0, 1})
-    cli_mod.bounds_mod._lapack.cache_clear()
     assert run(capsys, "scan", "--p-min", "7", "--p-max", "11", "--jobs", "2")[0] == 0
-    assert located == [1]
+    assert located == [cli_mod.bounds_mod._LAPACK]
 
 
 def test_start_up_leaves_the_process_pool_unimported():

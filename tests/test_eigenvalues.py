@@ -35,10 +35,9 @@ def eigh_oracle(kernel):
 
 
 def lapack_or_skip():
-    lapack = bounds_mod._lapack()
-    if lapack is None:
+    if bounds_mod._LAPACK is None:
         pytest.skip("numpy.linalg does not link scipy-openblas here")
-    return lapack
+    return bounds_mod._LAPACK
 
 
 def test_the_route_finds_numpys_lapack():
@@ -50,7 +49,7 @@ def test_the_route_finds_numpys_lapack():
         CDLL(umath_linalg.__file__).scipy_dsyevd_64_
     except (ImportError, AttributeError, OSError):
         pytest.skip("numpy.linalg does not link scipy-openblas here")
-    assert bounds_mod._lapack() is not None
+    assert bounds_mod._LAPACK is not None
 
 
 # p = 3..23 take dstedc's small-matrix QR branch, the rest divide and conquer
@@ -122,7 +121,7 @@ def test_spectrum_is_eighs_bit_for_bit_at_a_thread_count(threads):
 def test_the_eigh_fallback_gives_the_same_arrays(monkeypatch, p):
     kernel = build_kernel(make_modulus(p))
     routed = spectrum(kernel).eigenvalues
-    monkeypatch.setattr(bounds_mod, "_lapack", lambda: None)
+    monkeypatch.setattr(bounds_mod, "_LAPACK", None)
     assert np.array_equal(spectrum(kernel).eigenvalues, routed)
     assert np.array_equal(routed, eigh_oracle(kernel))
 
@@ -194,7 +193,7 @@ def test_nonconvergence_raises_as_eigh_and_exits_4(monkeypatch, capsys):
         dstedc(*args)
         args[-2].contents.value = 1
 
-    monkeypatch.setattr(bounds_mod, "_lapack", lambda: (dsytrd, failing))
+    monkeypatch.setattr(bounds_mod, "_LAPACK", (dsytrd, failing))
     with pytest.raises(np.linalg.LinAlgError,
                        match="^Eigenvalues did not converge$"):
         spectrum(build_kernel(make_modulus(7)))
@@ -204,22 +203,3 @@ def test_nonconvergence_raises_as_eigh_and_exits_4(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "internal error: Eigenvalues did not converge\n"
-
-
-def test_start_up_leaves_the_lapack_route_unlocated(tmp_path):
-    # a fresh interpreter: this one's other tests have located it
-    probe = (
-        "from circlewalk import bounds\n"
-        "from circlewalk.cli import build_parser, main\n"
-        f"out = {str(tmp_path / 'out')!r}\n"
-        "build_parser()\n"
-        "assert main(['axioms', '--p', '7', '--output', out]) == 0\n"
-        "assert main(['constants', '--p', '7', '--output', out]) == 0\n"
-        "print(bounds._lapack.cache_info().currsize)\n"
-        "assert main(['spectrum', '--p', '7', '--output', out]) == 0\n"
-        "print(bounds._lapack.cache_info().currsize)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", probe], env=ENV,
-                          capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "0\n1\n"
