@@ -40,6 +40,7 @@ from .modular import PrimeModulus
 from .walk import (
     DEFAULT_EPSILON,
     BadEpsilon,
+    MixingReport,
     StochasticKernel,
     build_kernel,
     detailed_balance,
@@ -455,8 +456,6 @@ class CouplingBound:
     the first step's slack, e^(-N m^2 / 2), covers a float ceiling one short.
     """
 
-    p: int
-    epsilon: float
     n: int
     closed_form_n: int
 
@@ -469,10 +468,8 @@ def coupling_bound(
     modulus: PrimeModulus, epsilon: float = DEFAULT_EPSILON
 ) -> CouplingBound:
     """Mixing-time bound from the four-step minorization: tau <= 4n."""
-    p = modulus.p
-    n = smallest_contraction_power(p, epsilon)
-    closed = math.ceil(-math.log(epsilon) / _minorization(p))
-    return CouplingBound(p=p, epsilon=epsilon, n=n, closed_form_n=closed)
+    n = smallest_contraction_power(modulus.p, epsilon)
+    return CouplingBound(n, math.ceil(-math.log(epsilon) / _minorization(modulus.p)))
 
 
 @dataclass(frozen=True)
@@ -540,33 +537,37 @@ class BoundReport:
     tau_measured: int
 
 
+def walk_stages(
+    modulus: PrimeModulus, epsilon: float = DEFAULT_EPSILON
+) -> tuple[StochasticKernel, MixingReport, SpectrumReport, CouplingBound]:
+    """The stages that ``bound_report`` and ``scan`` share, in order: the
+    walk kernel, its measured mixing time, its spectrum and the coupling
+    bound. Both run them here, so a scan row's floats are the report's.
+    Measuring first makes a threshold below float64's TV floor fail
+    within a few steps, before the other stages, whose exact contraction
+    powers grow with ln(1/epsilon).
+    """
+    kernel = build_kernel(modulus)
+    mixing = mixing_time(kernel, epsilon)
+    return kernel, mixing, spectrum(kernel), coupling_bound(modulus, epsilon)
+
+
 def bound_report(
     modulus: PrimeModulus,
     epsilon: float = DEFAULT_EPSILON,
 ) -> BoundReport:
-    """Full bound pipeline for one modulus.
-
-    Builds the walk kernel, measures the mixing time, computes the
-    spectrum, evaluates the path and cycle bounds with the default
-    constructions, the closed forms and the coupling bound. Measuring first
-    makes a threshold below float64's TV floor fail within a few steps,
-    before the other stages, whose exact contraction powers grow with
-    ln(1/epsilon).
-    """
-    kernel = build_kernel(modulus)
-    mixing = mixing_time(kernel, epsilon)
-    spectral = spectrum(kernel)
-    comp = comparison_bound(kernel)
-    cyc = odd_cycle_bound(kernel)
+    """Full bound pipeline for one modulus: ``walk_stages``, then the path
+    and cycle bounds with the default constructions and their closed
+    forms."""
+    kernel, mixing, spectral, coup = walk_stages(modulus, epsilon)
     comp_closed, cyc_closed = closed_form_bounds(modulus)
-    coup = coupling_bound(modulus, epsilon)
     return BoundReport(
         p=modulus.p,
         lambda1=spectral.lambda1,
         lambda_min=spectral.lambda_min,
         alpha_star=spectral.alpha_star,
-        comparison_A=comp.A,
-        v=cyc.v,
+        comparison_A=comparison_bound(kernel).A,
+        v=odd_cycle_bound(kernel).v,
         alpha1_upper_closed=comp_closed.alpha1_upper,
         alpha_min_lower_closed=cyc_closed.alpha_min_lower,
         coupling_n=coup.n,

@@ -135,6 +135,8 @@ def _export_chunks(tensor, layout):
     A real block holds 0, 1 or 2 over p + 1, and 0 or 1 over 1 on its
     identity rows, so ``cells[den][v, k]``, the tail of value v at k,
     is formatted once per export, and each block's rows gather from it.
+    A block with any other value has no cell and is refused, by name,
+    before its rows are gathered: an invariant violation, not a row.
     """
     start, head, tail, sep, end = layout
     p = tensor.p
@@ -145,15 +147,19 @@ def _export_chunks(tensor, layout):
     for i in range(p):
         block = tensor.numerators(i)
         ones = p if i == 0 else 1  # rows j < ones are identity rows
-        texts = (cells[1][block[:ones] // (p + 1), ks].tolist()
-                 + cells[p + 1][block[ones:], ks].tolist())
+        identity, body = block[:ones], block[ones:]
+        if (((identity != 0) & (identity != p + 1)).any()
+                or body.min(initial=0) < 0 or body.max(initial=0) > 2):
+            raise ValueError(f"block i={i} holds a numerator with no export cell")
+        texts = (cells[1][identity // (p + 1), ks].tolist()
+                 + cells[p + 1][body, ks].tolist())
         # a later block's rows join onto "", so its text starts with sep
         rows = [""] if i else []
         for j, row in enumerate(texts):
             h = head % (i, j)
             rows.append(h + (sep + h).join(row))
         text = sep.join(rows)
-        del block, texts, rows  # only the text is held while it is written
+        del block, identity, body, texts, rows  # only the text is held while it is written
         # block 0 carries the start: a small first write would be copied
         # again with the second
         yield text if i else start % {"p": p} + text
@@ -265,20 +271,15 @@ SCAN_HEADER = [
 
 
 def _scan_row(task: tuple[int, float]) -> list:
-    """One scan row: only the stages of ``bounds.bound_report`` whose
-    columns scan prints (measured tau, spectrum, coupling bound), in its
-    order, so the floats equal those of the row built from the full
-    report and an unmixed eps fails as fast."""
+    """One scan row, from ``bounds.walk_stages``: the stages of
+    ``bounds.bound_report`` whose columns scan prints."""
     p, eps = task
-    modulus = make_modulus(p)
-    kernel = walk_mod.build_kernel(modulus)
-    tau = walk_mod.mixing_time(kernel, eps).tau
-    spectral = bounds_mod.spectrum(kernel)
-    coupling_tau = bounds_mod.coupling_bound(modulus, eps).tau_bound
+    _, mixing, spectral, coupling = bounds_mod.walk_stages(make_modulus(p), eps)
+    tau = mixing.tau
     return [
         p,
         tau,
-        coupling_tau,
+        coupling.tau_bound,
         spectral.gap,
         spectral.alpha_star,
         tau / p,

@@ -288,18 +288,22 @@ def test_the_certificate_reads_one_exactness_bound(p):
     exact_dtype.assert_called_once_with((p + 1) ** 2)
 
 
-def test_the_certificate_converts_n1_once():
-    # int16 blocks and one float32 N_1 held across the loop; an int64
-    # block, or N_1 converted for every block, once passed 60 p^2 bytes
+def test_the_commutation_loop_holds_one_block_beside_n1(monkeypatch):
+    # the loop alone, with the Krylov rank (which peaks higher) skipped:
+    # N_1 and one block in int16 and in float32, the two products and a
+    # bool mask, 21 p^2 bytes; one more p x p array kept alive, even an
+    # int16 one, reaches 23
     p = 307
+    tensor = StructureTensor(make_modulus(p))
+    monkeypatch.setattr(circles, "c1_generates", lambda block: True)
     tracemalloc.start()
     try:
-        report = validate_axioms(StructureTensor(make_modulus(p)))
+        report = validate_axioms(tensor)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.all_passed
-    assert peak < 60 * p * p
+    assert peak < 23 * p * p
 
 
 def test_the_krylov_rank_reduces_in_place():

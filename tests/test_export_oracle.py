@@ -21,6 +21,7 @@ import pytest
 from circlewalk.circles import StructureTensor
 from circlewalk.cli import fmt, main
 from circlewalk.modular import make_modulus, primes_3_mod_4
+from conftest import serving
 
 # one exported row as json.dumps(..., indent=2) lays it out inside "rows"
 _JSON_ROW = "    [\n" + ",\n".join(["      %d"] * 5) + "\n    ]"
@@ -94,3 +95,23 @@ def test_every_block_holds_the_values_the_export_formats(p):
         identity = set(np.unique(block[:ones]).tolist())
         assert identity <= {v * (p + 1) for v in IDENTITY_VALUES}, i
         assert set(np.unique(block[ones:]).tolist()) <= BODY_VALUES, i
+
+
+@pytest.mark.parametrize("i, j, k, value", [
+    (2, 3, 4, -1),  # a body entry below 0 once wrapped to the cell of 2
+    (2, 0, 4, 3),  # identity-row entries that are not 0 or p + 1 once
+    (2, 0, 2, 3),  # printed numerator // (p + 1), here 0
+    (0, 3, 3, 5),  # block 0 is all identity rows: its 1 once printed as 0
+    (2, 3, 4, 3),  # a body entry past 2 once raised an IndexError
+])
+def test_a_value_with_no_export_cell_exits_4(capsys, i, j, k, value):
+    p = 7
+    table = StructureTensor(make_modulus(p)).scaled_table().copy()
+    table[i, j, k] = value
+    with serving(table):
+        code = main(["constants", "--p", str(p)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (
+        4, f"internal error: block i={i} holds a numerator with no export cell\n")
+    # the blocks before i are written; no row of block i is
+    assert not [row for row in out.splitlines() if row.startswith(f"{i},")]
