@@ -98,11 +98,11 @@ def test_every_block_holds_the_values_the_export_formats(p):
 
 
 @pytest.mark.parametrize("i, j, k, value", [
-    (2, 3, 4, -1),  # a body entry below 0 once wrapped to the cell of 2
-    (2, 0, 4, 3),  # identity-row entries that are not 0 or p + 1 once
-    (2, 0, 2, 3),  # printed numerator // (p + 1), here 0
-    (0, 3, 3, 5),  # block 0 is all identity rows: its 1 once printed as 0
-    (2, 3, 4, 3),  # a body entry past 2 once raised an IndexError
+    (2, 3, 4, -1),  # a body entry below 0 would index the cells from the end
+    (2, 0, 4, 3),  # identity-row entries other than 0 and p + 1 would
+    (2, 0, 2, 3),  # print as numerator // (p + 1), here 0
+    (0, 3, 3, 5),  # block 0 is all identity rows: its 1 would print as 0
+    (2, 3, 4, 3),  # a body entry past 2 has no cell at all
 ])
 def test_a_value_with_no_export_cell_exits_4(capsys, i, j, k, value):
     p = 7
