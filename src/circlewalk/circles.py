@@ -14,8 +14,9 @@ arithmetic (a square root by exponentiation, checked by squaring).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -228,25 +229,20 @@ class AxiomReport:
     associativity: AxiomCheck
 
     def checks(self) -> list[AxiomCheck]:
-        return [
-            self.positivity,
-            self.normalization,
-            self.commutativity,
-            self.hermitian_support,
-            self.associativity,
-        ]
+        """The checks in field order."""
+        return [getattr(self, f.name) for f in fields(self)]
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks())
 
 
-def _first_witness(bad: np.ndarray, *index: int) -> tuple[int, ...] | None:
-    """The leading ``index`` and then the first hit of the mask ``bad`` in
-    row-major order, or None when ``bad`` has no hit."""
+def _first_witness(bad: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first hit of the mask ``bad`` in row-major
+    order, or None when ``bad`` has no hit."""
     if not bad.any():  # much cheaper than argwhere on a clean mask
         return None
-    return (*index, *(int(v) for v in np.argwhere(bad)[0]))
+    return tuple(int(v) for v in np.argwhere(bad)[0])
 
 
 def exact_dtype(bound: int) -> type:
@@ -351,87 +347,85 @@ def c1_generates(block: np.ndarray) -> bool:
     return nonsingular_mod(krylov, q)
 
 
+def _report(method: str, witnesses) -> AxiomReport:
+    """The report of one witness per axiom, in the order of
+    ``AxiomReport``'s fields; ``method`` names the path that decided
+    associativity."""
+    return AxiomReport(*(
+        AxiomCheck(f.name, witness, method if f.name == "associativity" else None)
+        for f, witness in zip(fields(AxiomReport), witnesses)
+    ))
+
+
 def validate_axioms(tensor: StructureTensor) -> AxiomReport:
     """Check positivity, normalization, commutativity, hermitian support
     at index 0, and associativity, all exactly, for p up to
     DENSE_TABLE_LIMIT.
 
     Works on numerators over the common denominator p + 1, so every
-    comparison is between integers. Each block N_i = ``numerators(i)``
-    is read once, in order of i, and only N_i and N_1 are held: memory is
-    O(p^2). Positivity, normalization and hermitian support are read off
-    each block, and the first witness is the first hit in row-major
-    order of the (i, j, k) or (i, j) index. Commutativity and
-    associativity are certified in O(p^4) from three facts, with L_i the
-    multiplication by c_i, whose matrix is N_i:
+    comparison is between integers. A certificate decides, in O(p^4)
+    time and O(p^2) memory, whether the table passes every check; only a
+    table that it does not pass builds the dense ``scaled_table``, and
+    every witness is read off that table.
 
-    1. c_0 is the identity: e_0 N_i = (p+1) e_i for every i;
-    2. every L_i commutes with L_1: N_i N_1 == N_1 N_i;
+    The certificate reads each block N_i = ``numerators(i)`` once, in
+    order of i, holding only N_i and N_1, and stops at the first block
+    that fails. A block passes when it holds no negative entry, every
+    row sums to p + 1, its column 0 is positive exactly at row i among
+    the nonzero rows (hermitian support: c_i c_j holds c_0 iff i == j),
+    and, with L_i the multiplication by c_i, whose matrix is N_i:
+
+    1. c_0 is the identity: e_0 N_i = (p+1) e_i;
+    2. L_i commutes with L_1: N_i N_1 == N_1 N_i.
+
+    When every block passes, the last step is
+
     3. L_1 is non-derogatory (``c1_generates``): the Krylov vectors
        e_0, e_0 N_1, ..., e_0 N_1^(p-1) have full rank.
 
     By 3, e_0 is a cyclic vector of N_1, so with 2 every N_i is a
     polynomial in N_1 and all N_i commute. With 1 the product is
     commutative, (p+1) n_ji = e_0 N_i N_j = e_0 N_j N_i = (p+1) n_ij, and
-    associative, (ab)c = c(ab) = a(cb) = a(bc). Steps 1 and 2 run on
-    each block while every block read so far has passed positivity and
-    normalization; step 3 runs last, and only if every block passed
-    them all. Then every entry lies in [0, p + 1] and every row sums to
-    p + 1, so every term and partial sum of N_i N_1 and N_1 N_i is an
-    integer in [0, (p + 1)^2], and the one dtype
-    ``exact_dtype((p + 1) ** 2)`` (float32 below p = 4095, float64
-    past it) is exact for every product. N_1 is converted to it once,
-    and so enters the i = 0 product before its own checks at i = 1; but
-    a certificate survives only if those checks pass, and then that
-    product was exact. If any step fails, the dense ``scaled_table`` is
-    built, commutativity is read off its first witness, and the
-    exhaustive ``associativity_witness`` compares sum_t n_ij^t n_tk^m
-    with sum_t n_jk^t n_it^m for all quadruples and names the first
-    witness.
+    associative, (ab)c = c(ab) = a(cb) = a(bc). Step 2 is taken only once
+    the block has passed the other checks, and so did every block before
+    it: every entry then lies in [0, p + 1] and every row sums to p + 1,
+    so every term and partial sum of N_i N_1 and N_1 N_i is an integer in
+    [0, (p + 1)^2], and the one dtype ``exact_dtype((p + 1) ** 2)``
+    (float32 below p = 4095, float64 past it) is exact for every
+    product. N_1 is converted to it once, and so enters the i = 0
+    product before its own checks at i = 1; but the certificate holds
+    only if those checks pass, and then that product was exact.
+
+    Otherwise the dense table e[i, j, k] names the first witness of
+    each check in row-major order: of e < 0, of row sums other than
+    p + 1, of e != e[j, i, k], of the hermitian support on the nonzero
+    (i, j), and, from the exhaustive ``associativity_witness``, which
+    compares sum_t n_ij^t n_tk^m with sum_t n_jk^t n_it^m for all
+    quadruples, of associativity.
     """
     p = tensor.p
     if p > DENSE_TABLE_LIMIT:
         raise ValueError(f"axiom checks for p={p} exceed limit {DENSE_TABLE_LIMIT}")
     n1 = tensor.numerators(1)
-    dtype = exact_dtype((p + 1) ** 2)
-    b = n1.astype(dtype)
+    b = n1.astype(exact_dtype((p + 1) ** 2))
     circles = np.arange(p)
-    positivity = normalization = hermitian = None
-    certified = True
     for i in range(p):
         block = n1 if i == 1 else tensor.numerators(i)
-        positivity = positivity or _first_witness(block < 0, i)
-        normalization = normalization or _first_witness(
-            block.sum(axis=1) != p + 1, i
-        )
-        if i:
-            # only the nonzero circles are checked: c_i c_j holds c_0 iff i == j
-            herm_bad = (block[:, 0] > 0) != (circles == i)
-            herm_bad[0] = False
-            hermitian = hermitian or _first_witness(herm_bad, i)
-        certified = (certified and positivity is None and normalization is None
-                     and np.array_equal(block[0], (p + 1) * (circles == i)))
-        if certified:
-            a = block.astype(dtype)
-            certified = np.array_equal(a @ b, b @ a)
-
-    if certified and c1_generates(n1):
-        commutativity = AxiomCheck("commutativity")
-        associativity = AxiomCheck("associativity", None, "generator-commutant")
+        a = block.astype(b.dtype)
+        if (block.min() < 0 or (block.sum(axis=1) != p + 1).any()
+                or i and not np.array_equal(block[1:, 0] > 0, circles[1:] == i)
+                or not np.array_equal(block[0], (p + 1) * (circles == i))
+                or not np.array_equal(a @ b, b @ a)):
+            break
     else:
-        e = tensor.scaled_table()
-        commutativity = AxiomCheck(
-            "commutativity", _first_witness(e != e.transpose(1, 0, 2))
-        )
-        associativity = AxiomCheck(
-            "associativity", associativity_witness(e, contraction_dtype(e)),
-            "exhaustive",
-        )
+        if c1_generates(n1):
+            return _report("generator-commutant", repeat(None))
 
-    return AxiomReport(
-        AxiomCheck("positivity", positivity),
-        AxiomCheck("normalization", normalization),
-        commutativity,
-        AxiomCheck("hermitian_support", hermitian),
-        associativity,
-    )
+    e = tensor.scaled_table()
+    herm_bad = (e[:, :, 0] > 0) != np.eye(p, dtype=bool)
+    herm_bad[0] = herm_bad[:, 0] = False  # the identity rows
+    return _report("exhaustive", [
+        _first_witness(e < 0), _first_witness(e.sum(axis=2) != p + 1),
+        _first_witness(e != e.transpose(1, 0, 2)), _first_witness(herm_bad),
+        associativity_witness(e, contraction_dtype(e)),
+    ])

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -70,28 +71,61 @@ def _output_errors():
         raise _UsageError(f"cannot write output: {exc}") from exc
 
 
+def _open_output(output: str):
+    """Open the file ``output`` for ``_emit``: the text file to write,
+    and the path of the new file that replaces ``output`` once it is
+    whole, or None when the file is ``output`` itself.
+
+    A regular file, or a path with nothing there yet, gets a new file
+    beside it (beside the file a symbolic link names), opened with the
+    permission bits of the file it replaces, or else 0666, less the
+    umask, as ``open(output, "w")`` makes a file. Anything else, such as
+    a device or a pipe, is written in place, since a rename would
+    replace it. An error names ``output``, as ``open`` would.
+    """
+    target = os.path.realpath(output)
+    mode = stat.S_IFREG | 0o666
+    with contextlib.suppress(FileNotFoundError):
+        mode = os.stat(target).st_mode
+    if not stat.S_ISREG(mode):
+        return open(output, "w", encoding="utf-8", newline=""), None
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, stat.S_IMODE(mode))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, output) from None
+    return open(fd, "w", encoding="utf-8", newline=""), temp
+
+
 def _emit(chunks, output: str | None) -> None:
     """Write text chunks, in order, to stdout or to the file ``output``.
 
-    Only the opening, the writes and the final flush or close are
-    wrapped by ``_output_errors``, not the making of each chunk. Stdout
-    is flushed here, so a full device or a closed pipe is reported now,
-    not at interpreter exit.
+    Only the opening, the writes, the final flush or close and the
+    rename are wrapped by ``_output_errors``, not the making of each
+    chunk. Stdout is flushed here, so a full device or a closed pipe is
+    reported now, not at interpreter exit. A new file from
+    ``_open_output`` is renamed over ``output`` only once every chunk
+    is written and the file is closed, and is removed otherwise, so a
+    failed command leaves no partial file and an existing file as it
+    was; what a failed command wrote to stdout or to a device stays.
     """
-    to_stdout = output is None or output == "-"
     with _output_errors():
-        fh = sys.stdout if to_stdout else open(
-            output, "w", encoding="utf-8", newline="")
+        fh, temp = (sys.stdout, None) if output in (None, "-") else _open_output(output)
     try:
-        for chunk in chunks:
+        try:
+            for chunk in chunks:
+                with _output_errors():
+                    fh.write(chunk)
+        finally:
             with _output_errors():
-                fh.write(chunk)
+                (fh.flush if fh is sys.stdout else fh.close)()
+        if temp is not None:
+            with _output_errors():
+                os.replace(temp, os.path.realpath(output))
     finally:
-        with _output_errors():
-            if to_stdout:
-                fh.flush()
-            else:
-                fh.close()
+        if temp is not None:
+            with contextlib.suppress(OSError):  # gone once renamed
+                os.remove(temp)
 
 
 def _csv_text(header: list[str], rows) -> str:

@@ -6,10 +6,11 @@ integers for larger tampered entries. Here tampered tables are checked in
 float32, in int64, and by a full einsum over all p^5 quadruples; all three
 must name the same first witness, or None. The O(p^4) generator-commutant
 certificate may only pass tables the int64 contraction finds associative,
-and when it does not pass, the report is the exhaustive one. The streamed
-checks, which read one block at a time, must give the report of the
-dense p^3 evaluation (``dense_report``), and a valid table must be
-certified without the dense table, in O(p^2) memory.
+and when it does not pass, the report is the exhaustive one. The
+certificate reads one block at a time and stops at the first that fails;
+every report must be that of the dense p^3 evaluation (``dense_report``),
+and a valid table must be certified without the dense table, in O(p^2)
+memory.
 """
 
 import dataclasses
@@ -245,6 +246,31 @@ def test_streamed_checks_match_the_dense_report(table):
     for check in report.checks():
         witness = expected[check.name]
         assert (check.passed, check.witness) == (witness is None, witness)
+
+
+def test_the_certificate_stops_at_the_first_failing_block():
+    # block 2 holds a negative entry: the certificate reads N_1, N_0 and
+    # N_2, and the dense table, which reads every block again, gives the
+    # witnesses
+    p = 11
+    table = _TABLES[p].copy()
+    table[2, 3, 4] = -1
+    dense = StructureTensor.scaled_table
+    read_before_dense = []
+
+    def scaled_table(self):
+        read_before_dense.append([c.args[1] for c in numerators.call_args_list])
+        return dense(self)
+
+    with serving(table), mock.patch.object(
+        StructureTensor, "numerators", autospec=True,
+        side_effect=StructureTensor.numerators,
+    ) as numerators, mock.patch.object(StructureTensor, "scaled_table", scaled_table):
+        report = validate_axioms(StructureTensor(make_modulus(p)))
+    assert read_before_dense == [[1, 0, 2]]
+    assert {c.name: c.witness for c in report.checks()} == dense_report(table)
+    assert report.positivity.witness == (2, 3, 4)
+    assert report.associativity.method == "exhaustive"
 
 
 @pytest.mark.parametrize("p", PRIMES)

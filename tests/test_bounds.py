@@ -336,6 +336,21 @@ def test_v_is_the_exact_half_integer(p):
     assert (2 * v).is_integer()
 
 
+# the primes p = 3 (mod 4) up to 499 where the computed v exceeds the
+# paper's v = 63(p+1): the first is 167, and every one from 307 on
+V_PAST_THE_CLOSED_FORM = [167, 179, 191, 227, 239, 251, 263] + primes_3_mod_4(307, 499)
+
+
+def test_the_computed_v_exceeds_the_closed_form_where_the_readme_says():
+    # the canonical cycles' v grows as p^2 and passes 63(p+1) first at
+    # p = 167; between 167 and 283 it stays at or below it at 199, 211,
+    # 223, 271 and 283
+    past = [p for p in primes_3_mod_4(3, 499)
+            if odd_cycle_bound(build_kernel(make_modulus(p))).v
+            > closed_form_bounds(make_modulus(p))[1].v]
+    assert past == V_PAST_THE_CLOSED_FORM
+
+
 def test_spectral_tv_bound_examples(chain):
     m, _, k, pi = chain(7)
     spectral = spectrum(k)

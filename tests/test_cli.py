@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -670,6 +671,16 @@ def test_start_up_leaves_the_process_pool_unimported():
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "[]\nTrue\n"
+
+
+def test_the_console_script_is_cli_main():
+    # tomllib came with Python 3.11; pyproject.toml allows 3.10
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"circlewalk": "circlewalk.cli:main"}
+    module, _, name = scripts["circlewalk"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_output_file_roundtrip(tmp_path, capsys):

@@ -14,6 +14,7 @@ identity rows.
 import contextlib
 import csv
 import io
+import os
 
 import numpy as np
 import pytest
@@ -115,3 +116,45 @@ def test_a_value_with_no_export_cell_exits_4(capsys, i, j, k, value):
         4, f"internal error: block i={i} holds a numerator with no export cell\n")
     # the blocks before i are written; no row of block i is
     assert not [row for row in out.splitlines() if row.startswith(f"{i},")]
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_failed_export_leaves_no_partial_file(capsys, tmp_path, existing, fmt_name):
+    # block 2 is refused after blocks 0 and 1 are written: the file that
+    # held them is removed, and a file that was there keeps its content
+    p = 7
+    table = StructureTensor(make_modulus(p)).scaled_table().copy()
+    table[2, 3, 4] = -1
+    target = tmp_path / "tensor.out"
+    if existing:
+        target.write_text("an earlier export\n")
+    with serving(table):
+        code = main(["constants", "--p", str(p), "--format", fmt_name,
+                     "--output", str(target)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == "internal error: block i=2 holds a numerator with no export cell\n"
+    assert sorted(tmp_path.iterdir()) == ([target] if existing else [])
+    if existing:
+        assert target.read_text() == "an earlier export\n"
+
+
+def test_an_export_replaces_a_file_whole(capsys, tmp_path):
+    # a new file is made as open(path, "w") makes one, an existing file
+    # keeps its permission bits, and a symbolic link keeps its target
+    umask = os.umask(0o022)
+    try:
+        fresh, kept, linked = (tmp_path / name for name in ("fresh", "kept", "link"))
+        kept.write_text("old\n")
+        kept.chmod(0o600)
+        linked.symlink_to(kept)
+        for target in (fresh, kept, linked):
+            assert main(["constants", "--p", "7", "--output", str(target)]) == 0
+    finally:
+        os.umask(umask)
+    assert capsys.readouterr() == ("", "")
+    assert fresh.read_text() == kept.read_text() == oracle_csv(StructureTensor(make_modulus(7)))
+    assert (fresh.stat().st_mode & 0o777, kept.stat().st_mode & 0o777) == (0o644, 0o600)
+    assert linked.is_symlink() and linked.resolve() == kept.resolve()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fresh", "kept", "link"]
