@@ -413,7 +413,7 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
         block = n1 if i == 1 else tensor.numerators(i)
         a = block.astype(b.dtype)
         if (block.min() < 0 or (block.sum(axis=1) != p + 1).any()
-                or i and not np.array_equal(block[1:, 0] > 0, circles[1:] == i)
+                or (i and not np.array_equal(block[1:, 0] > 0, circles[1:] == i))
                 or not np.array_equal(block[0], (p + 1) * (circles == i))
                 or not np.array_equal(a @ b, b @ a)):
             break
