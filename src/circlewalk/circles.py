@@ -23,17 +23,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .modular import PrimeModulus
 
-# Largest p for the dense table and the axiom checks: it keeps every int64
-# Krylov sum of ``c1_generates`` below 2^63, and the p^3 table that a
-# failed certificate falls back to desk-scale.
+# Largest p for the dense table and the axiom checks: it keeps the p^3
+# table that a failed certificate falls back to desk-scale.
 DENSE_TABLE_LIMIT = 512
 
 # Rows of j contracted per matmul by the exhaustive associativity check:
 # keeps its temporaries at O(p^2) beside the table.
 _ASSOC_BLOCK = 16
-# The Krylov rank of c_1 is taken modulo this prime: below 2^26, so every
-# int64 sum of p <= DENSE_TABLE_LIMIT products of residues is below 2^63.
-_KRYLOV_PRIME = 2**26 - 5
 
 
 def _check_index(p: int, k: int) -> None:
@@ -79,6 +75,17 @@ def n1_dtype(p: int) -> type:
     = 3 mod 4), else int32, which holds them below p = 2^30, where N_1
     would take 2^62 bytes. Every entry, at most p + 1, fits too."""
     return np.int16 if 2 * p < 2**15 else np.int32
+
+
+def _dilate(n1: np.ndarray, i: int) -> np.ndarray:
+    """Block i of the table whose block 1 is ``n1``, read by dilation
+    (``StructureTensor.numerators``): (p+1) I at i = 0, else ``n1``
+    relabelled by k -> k/i, in ``n1``'s dtype and freshly allocated."""
+    p = n1.shape[0]
+    if i == 0:
+        return (p + 1) * np.eye(p, dtype=n1.dtype)
+    s = np.arange(p) * pow(i, -1, p) % p
+    return n1[np.ix_(s, s)]
 
 
 class StructureTensor:
@@ -146,13 +153,9 @@ class StructureTensor:
         axiom checks, the table, the scalar accessor and the export read
         these blocks.
         """
-        p = self.p
         i = operator.index(i)
-        _check_index(p, i)
-        if i == 0:
-            return (p + 1) * np.eye(p, dtype=self.n1.dtype)
-        s = np.arange(p) * pow(i, -1, p) % p
-        return self.n1[np.ix_(s, s)]
+        _check_index(self.p, i)
+        return _dilate(self.n1, i)
 
     def scaled(self, i: int, j: int, k: int) -> int:
         """Numerator of n_ij^k over the common denominator p + 1.
@@ -205,7 +208,7 @@ def structure_constant_bruteforce(
 @dataclass(frozen=True)
 class AxiomCheck:
     """One axiom's outcome. ``method`` names the path that decided
-    associativity, ``"generator-commutant"`` or ``"exhaustive"``, and is
+    associativity, ``"dilation-commutant"`` or ``"exhaustive"``, and is
     None for the other axioms."""
 
     name: str
@@ -303,50 +306,6 @@ def associativity_witness(table: np.ndarray, dtype) -> tuple[int, ...] | None:
     return None
 
 
-def nonsingular_mod(m: np.ndarray, q: int) -> bool:
-    """Whether a square int64 matrix is invertible over F_q, for a
-    prime q < 2^26.
-
-    Gaussian elimination in place: ``m`` is reduced mod q and then
-    overwritten, so a caller that still needs it passes a copy. Entries
-    are reduced mod q after every product, so no entry or product
-    exceeds q^2 < 2^52.
-    """
-    m %= q
-    for c in range(m.shape[0]):
-        nonzero = np.flatnonzero(m[c:, c])
-        if nonzero.size == 0:
-            return False
-        r = c + int(nonzero[0])
-        m[[c, r]] = m[[r, c]]
-        m[c, c:] = m[c, c:] * pow(int(m[c, c]), -1, q) % q
-        m[c + 1:, c:] -= m[c + 1:, c, None] * m[c, c:]
-        m[c + 1:, c:] %= q
-    return True
-
-
-def c1_generates(block: np.ndarray) -> bool:
-    """Whether the Krylov vectors e_0 N_1^t, t < p, have rank p, with
-    N_1 = block, the (p, p) numerators of c_1 (``numerators(1)``): then
-    multiplication by c_1 is non-derogatory.
-
-    The rank is taken modulo _KRYLOV_PRIME. Rank p there means a nonzero
-    determinant mod q, hence over the integers; a singular reduction mod q
-    only sends the caller to the exhaustive check.
-    """
-    p = block.shape[0]
-    q = _KRYLOV_PRIME
-    n1 = block.astype(np.int64)
-    n1 %= q
-    krylov = np.empty((p, p), dtype=np.int64)
-    v = np.zeros(p, dtype=np.int64)
-    v[0] = 1
-    for t in range(p):
-        krylov[t] = v
-        v = v @ n1 % q  # p products below q^2: below 2^63 for p <= 512
-    return nonsingular_mod(krylov, q)
-
-
 def _report(method: str, witnesses) -> AxiomReport:
     """The report of one witness per axiom, in the order of
     ``AxiomReport``'s fields; ``method`` names the path that decided
@@ -373,28 +332,27 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
     that fails. A block passes when it holds no negative entry, every
     row sums to p + 1, its column 0 is positive exactly at row i among
     the nonzero rows (hermitian support: c_i c_j holds c_0 iff i == j),
-    and, with L_i the multiplication by c_i, whose matrix is N_i:
+    and, with L_i the multiplication by c_i, whose matrix is N_i, and
+    S_a the relabelling k -> k/a, so that S_a S_b = S_ab:
 
     1. c_0 is the identity: e_0 N_i = (p+1) e_i;
-    2. L_i commutes with L_1: N_i N_1 == N_1 N_i.
+    2. N_i is N_1 dilated (``_dilate``): N_0 = (p+1) I, and
+       N_i = S_i N_1 S_i^-1 for i != 0;
+    3. if 1 < i <= 1/i mod p, L_i commutes with L_1: N_i N_1 == N_1 N_i.
 
-    When every block passes, the last step is
-
-    3. L_1 is non-derogatory (``c1_generates``): the Krylov vectors
-       e_0, e_0 N_1, ..., e_0 N_1^(p-1) have full rank.
-
-    By 3, e_0 is a cyclic vector of N_1, so with 2 every N_i is a
-    polynomial in N_1 and all N_i commute. With 1 the product is
-    commutative, (p+1) n_ji = e_0 N_i N_j = e_0 N_j N_i = (p+1) n_ij, and
-    associative, (ab)c = c(ab) = a(cb) = a(bc). Step 2 is taken only once
-    the block has passed the other checks, and so did every block before
-    it: every entry then lies in [0, p + 1] and every row sums to p + 1,
-    so every term and partial sum of N_i N_1 and N_1 N_i is an integer in
+    By 2, N_a N_b = S_a N_1 N_{b/a} S_a^-1 and N_b N_a =
+    S_a N_{b/a} N_1 S_a^-1 for a != 0, and N_0 is a multiple of I, so
+    all N_i commute once N_1 commutes with every N_c. Conjugating by
+    S_{1/c} turns N_c N_1 = N_1 N_c into N_1 N_{1/c} = N_{1/c} N_1, so
+    3 covers every c. With 1 the product is commutative,
+    (p+1) n_ji = e_0 N_i N_j = e_0 N_j N_i = (p+1) n_ij, and
+    associative, (ab)c = c(ab) = a(cb) = a(bc). Step 3 is taken only
+    from i = 2 on, once N_1 and the block have passed the other checks:
+    every entry then lies in [0, p + 1] and every row sums to p + 1, so
+    every term and partial sum of N_i N_1 and N_1 N_i is an integer in
     [0, (p + 1)^2], and the one dtype ``exact_dtype((p + 1) ** 2)``
     (float32 below p = 4095, float64 past it) is exact for every
-    product. N_1 is converted to it once, and so enters the i = 0
-    product before its own checks at i = 1; but the certificate holds
-    only if those checks pass, and then that product was exact.
+    product.
 
     Otherwise the dense table e[i, j, k] names the first witness of
     each check in row-major order: of e < 0, of row sums other than
@@ -415,11 +373,11 @@ def validate_axioms(tensor: StructureTensor) -> AxiomReport:
         if (block.min() < 0 or (block.sum(axis=1) != p + 1).any()
                 or (i and not np.array_equal(block[1:, 0] > 0, circles[1:] == i))
                 or not np.array_equal(block[0], (p + 1) * (circles == i))
-                or not np.array_equal(a @ b, b @ a)):
+                or not np.array_equal(block, _dilate(n1, i))
+                or (1 < i <= pow(i, -1, p) and not np.array_equal(a @ b, b @ a))):
             break
     else:
-        if c1_generates(n1):
-            return _report("generator-commutant", repeat(None))
+        return _report("dilation-commutant", repeat(None))
 
     e = tensor.scaled_table()
     herm_bad = (e[:, :, 0] > 0) != np.eye(p, dtype=bool)

@@ -214,7 +214,7 @@ def cmd_axioms(args) -> int:
     modulus = make_modulus(args.p)
     limit = circles_mod.DENSE_TABLE_LIMIT
     if modulus.p > limit:
-        # the Krylov sums and the fallback's dense table are capped
+        # the fallback's dense table is capped
         raise _UsageError(f"p={modulus.p} exceeds the dense-table limit {limit}")
     report = circles_mod.validate_axioms(circles_mod.StructureTensor(modulus))
     checks = report.checks()

@@ -4,16 +4,19 @@ The exhaustive contraction runs in float32 whenever ``contraction_dtype``
 proves every partial sum below 2^24, and in float64, int64 or Python
 integers for larger tampered entries. Here tampered tables are checked in
 float32, in int64, and by a full einsum over all p^5 quadruples; all three
-must name the same first witness, or None. The O(p^4) generator-commutant
-certificate may only pass tables the int64 contraction finds associative,
-and when it does not pass, the report is the exhaustive one. The
-certificate reads one block at a time and stops at the first that fails;
-every report must be that of the dense p^3 evaluation (``dense_report``),
-and a valid table must be certified without the dense table, in O(p^2)
-memory.
+must name the same first witness, or None. The O(p^4) dilation-commutant
+certificate, which checks that every block is N_1 dilated and multiplies
+N_1 with one block of each pair i, 1/i, may only pass tables the int64
+contraction finds associative, and when it does not pass, the report is
+the exhaustive one. Tables dilated from a tampered N_1 pass every check
+before the products, so they reach them; a valid table relabelled by a
+permutation that fixes 0 is a hypergroup but not dilated, and is outside
+the certificate's scope. The certificate reads one block at a time and
+stops at the first that fails; every report must be that of the dense
+p^3 evaluation (``dense_report``), and a valid table must be certified
+without the dense table, in O(p^2) memory.
 """
 
-import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -24,12 +27,10 @@ from hypothesis import strategies as st
 
 from circlewalk import circles
 from circlewalk.circles import (
-    _KRYLOV_PRIME,
     StructureTensor,
+    _dilate,
     associativity_witness,
-    c1_generates,
     contraction_dtype,
-    nonsingular_mod,
     validate_axioms,
 )
 from circlewalk.modular import make_modulus, primes_3_mod_4
@@ -99,7 +100,7 @@ def assert_certificate_sound(table):
     check = certified_associativity(table)
     witness = associativity_witness(table, np.int64)
     assert (check.passed, check.witness) == (witness is None, witness)
-    assert check.method in ("generator-commutant", "exhaustive")
+    assert check.method in ("dilation-commutant", "exhaustive")
     return check
 
 
@@ -136,7 +137,7 @@ def test_swapped_row_pair(p, data):
     assert_paths_agree(table)
     check = assert_certificate_sound(table)
     if b == c:  # the table is unchanged
-        assert check.method == "generator-commutant"
+        assert check.method == "dilation-commutant"
 
 
 def assert_tampered_entry_takes(value, dtype):
@@ -191,27 +192,13 @@ def test_symmetric_overwrite(p, data):
 @pytest.mark.parametrize("p", primes_3_mod_4(7, 199))
 def test_every_valid_table_is_certified(p):
     check = validate_axioms(StructureTensor(make_modulus(p))).associativity
-    assert (check.passed, check.method) == (True, "generator-commutant")
-
-
-def test_failed_krylov_step_falls_back_to_the_same_report():
-    swapped = _TABLES[7].copy()
-    swapped[1, 2, :] = swapped[1, 3, :]
-    swapped[2, 1, :] = swapped[3, 1, :]
-    for table in (_TABLES[7], _TABLES[11], swapped):
-        certified = certified_associativity(table)
-        with mock.patch.object(circles, "c1_generates", lambda _: False):
-            fallback = certified_associativity(table)
-        assert fallback.method == "exhaustive"
-        assert dataclasses.replace(fallback, method=certified.method) == certified
+    assert (check.passed, check.method) == (True, "dilation-commutant")
 
 
 def test_non_commutative_tamper_takes_the_exhaustive_path():
     table = _TABLES[7].copy()
     table[1, 2, :] = table[1, 3, :]
-    with mock.patch.object(circles, "c1_generates") as krylov:
-        report = streamed_report(table)
-    krylov.assert_not_called()
+    report = streamed_report(table)
     assert not report.commutativity.passed
     assert report.associativity.method == "exhaustive"
     assert report.associativity.witness == associativity_witness(table, np.int64)
@@ -275,10 +262,9 @@ def test_the_certificate_stops_at_the_first_failing_block():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_the_certificate_needs_the_identity_rows(p):
-    # every block but N_0 is N_1: each commutes with N_1 and c_1 still
-    # generates, but c_0 is no identity and the product is not commutative
+    # every block but N_0 is N_1: each commutes with N_1, but c_0 is no
+    # identity and the product is not commutative
     table = np.stack([_TABLES[p][0]] + [_TABLES[p][1]] * (p - 1))
-    assert c1_generates(table[1])
     report = streamed_report(table)
     expected = dense_report(table)
     assert expected["commutativity"] is not None
@@ -287,14 +273,46 @@ def test_the_certificate_needs_the_identity_rows(p):
     assert report.associativity.method == "exhaustive"
 
 
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_dilated_tables_reach_the_products(p, data):
+    # two entries swapped in a nonzero row of N_1, away from column 0,
+    # keep every check of N_1; every block dilated from it, and N_0 =
+    # (p+1) I, then pass all but the products, which alone decide
+    n1 = _TABLES[p][1].astype(np.int64)
+    j = data.draw(st.integers(1, p - 1))
+    k, m = data.draw(st.lists(st.integers(1, p - 1), min_size=2, max_size=2,
+                              unique=True))
+    n1[j, [k, m]] = n1[j, [m, k]]
+    table = np.stack([_dilate(n1, i) for i in range(p)])
+    report = streamed_report(table)
+    expected = dense_report(table)
+    assert {c.name: c.witness for c in report.checks()} == expected
+    certified = report.associativity.method == "dilation-commutant"
+    assert certified == all(w is None for w in expected.values())
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_relabelled_hypergroup_is_outside_the_certificate(p):
+    # labels 1 and 2 swapped on all three indices: an isomorphic, valid
+    # hypergroup, but N_2 is no longer N_1 dilated
+    order = np.arange(p)
+    order[[1, 2]] = order[[2, 1]]
+    table = _TABLES[p][np.ix_(order, order, order)]
+    report = streamed_report(table)
+    assert all(c.witness is None for c in report.checks())
+    assert report.associativity.method == "exhaustive"
+
+
+def refuse_dense_table(self):
+    raise AssertionError("a valid tensor built the dense table")
+
+
 @pytest.mark.parametrize("p", [103, 199])
 def test_valid_tables_are_certified_in_o_p2_memory(p):
-    def refuse(self):
-        raise AssertionError("a valid tensor built the dense table")
-
     tracemalloc.start()
     try:
-        with mock.patch.object(StructureTensor, "scaled_table", refuse):
+        with mock.patch.object(StructureTensor, "scaled_table", refuse_dense_table):
             report = validate_axioms(StructureTensor(make_modulus(p)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -310,18 +328,16 @@ def test_the_certificate_reads_one_exactness_bound(p):
     with mock.patch.object(circles, "exact_dtype",
                            wraps=circles.exact_dtype) as exact_dtype:
         report = validate_axioms(StructureTensor(make_modulus(p)))
-    assert report.associativity.method == "generator-commutant"
+    assert report.associativity.method == "dilation-commutant"
     exact_dtype.assert_called_once_with((p + 1) ** 2)
 
 
-def test_the_commutation_loop_holds_one_block_beside_n1(monkeypatch):
-    # the loop alone, with the Krylov rank (which peaks higher) skipped:
+def test_the_certificate_holds_one_block_beside_n1():
     # N_1 and one block in int16 and in float32, the two products and a
     # bool mask, 21 p^2 bytes; one more p x p array kept alive, even an
     # int16 one, reaches 23
     p = 307
     tensor = StructureTensor(make_modulus(p))
-    monkeypatch.setattr(circles, "c1_generates", lambda block: True)
     tracemalloc.start()
     try:
         report = validate_axioms(tensor)
@@ -332,48 +348,9 @@ def test_the_commutation_loop_holds_one_block_beside_n1(monkeypatch):
     assert peak < 23 * p * p
 
 
-def test_the_krylov_rank_reduces_in_place():
-    # c1_generates sets the peak: its int64 N_1 mod q, the Krylov matrix
-    # and one elimination temporary, about 37 p^2 bytes with the loop's
-    # arrays; copies of N_1 or of the Krylov matrix, or a second
-    # temporary per step, reach 52
-    p = 307
-    tracemalloc.start()
-    try:
-        report = validate_axioms(StructureTensor(make_modulus(p)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.associativity.method == "generator-commutant"
-    assert peak < 42 * p * p
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 5), data=st.data())
-def test_nonsingular_mod_matches_the_rational_rank(n, data):
-    cells = st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)
-    m = np.array(data.draw(cells), dtype=np.int64).reshape(n, n)
-    # |det| <= 5! * 3^5 < q, so m is singular mod q exactly when over Q;
-    # the rank is taken first, since nonsingular_mod overwrites m
-    full_rank = np.linalg.matrix_rank(m) == n
-    assert nonsingular_mod(m, _KRYLOV_PRIME) == full_rank
-
-
-def test_krylov_rank_reduces_tampered_entries_mod_q():
-    q = _KRYLOV_PRIME
-    assert 512 * (q - 1) ** 2 < 2**63  # no int64 Krylov sum can wrap
-    shift = np.roll(np.eye(3, dtype=np.int32), 1, axis=1)
-    assert c1_generates(shift)  # e_0, e_1, e_2
-    assert c1_generates(-shift - q)  # the same map up to sign mod q
-    # e_0 N_1 and e_0 N_1^2 are parallel
-    assert not c1_generates(np.full((3, 3), -1, dtype=np.int32))
-    # e_0 N_1^2 = (0, 0, 2); with |N_1| it would be (0, 2, 2), parallel to e_0 N_1
-    assert c1_generates(np.array([[0, 1, 1], [0, 1, 0], [0, -1, 2]]))
-    # rank 3 over Q but 0 mod q: a false "no" only costs the exhaustive check
-    assert not c1_generates(q * shift)
-
-
-def test_c1_generates_at_the_dense_table_cap():
-    # 503 is the largest prime = 3 (mod 4) below DENSE_TABLE_LIMIT; the
-    # certificate needs only the c_1 block, not the p^3 table
-    assert c1_generates(StructureTensor(make_modulus(503)).numerators(1))
+def test_the_certificate_at_the_dense_table_cap():
+    # 503 is the largest prime = 3 (mod 4) below DENSE_TABLE_LIMIT
+    with mock.patch.object(StructureTensor, "scaled_table", refuse_dense_table):
+        report = validate_axioms(StructureTensor(make_modulus(503)))
+    assert report.all_passed
+    assert report.associativity.method == "dilation-commutant"

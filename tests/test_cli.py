@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -257,6 +258,31 @@ def test_closed_stdout_pipe_exit_1():
         err = proc.stderr.read().decode()
     assert proc.returncode == 1
     assert err == "cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_a_killed_export_leaves_the_file_as_it_was(tmp_path):
+    # the child sends itself SIGTERM once the first block is written, so
+    # no cleanup runs: FILE keeps its content and the new file stays
+    target = tmp_path / "tensor.csv"
+    target.write_text("an earlier export\n")
+    child = (
+        "import os, signal, sys\n"
+        "import circlewalk.cli as cli\n"
+        "chunks = cli._export_chunks\n"
+        "def killed(*args):\n"
+        "    for n, chunk in enumerate(chunks(*args)):\n"
+        "        if n:\n"
+        "            os.kill(os.getpid(), signal.SIGTERM)\n"
+        "        yield chunk\n"
+        "cli._export_chunks = killed\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    with subprocess.Popen([sys.executable, "-c", child, "constants", "--p", "7",
+                           "--output", str(target)], env=CLI_ENV) as proc:
+        assert proc.wait(timeout=60) == -signal.SIGTERM
+    assert target.read_text() == "an earlier export\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "tensor.csv", f"tensor.csv.{proc.pid}.tmp"]
 
 
 def test_usage_error_exit_1(capsys):
