@@ -35,10 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circles import exact_dtype
+from .circles import DEFAULT_EPSILON, exact_dtype
 from .modular import PrimeModulus
 from .walk import (
-    DEFAULT_EPSILON,
     BadEpsilon,
     MixingReport,
     StochasticKernel,

@@ -13,15 +13,24 @@ arithmetic (a square root by exponentiation, checked by squaring).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .modular import PrimeModulus
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# The walk's default total-variation threshold, 1/(2e). It is defined here,
+# beside the hypergroup the walk runs on, so that the command line parser
+# reads it without loading ``walk``.
+DEFAULT_EPSILON = 1 / (2 * math.e)
 
 # Largest p for the dense table and the axiom checks: it keeps the p^3
 # table that a failed certificate falls back to desk-scale.
@@ -133,6 +142,8 @@ class StructureTensor:
 
     def constant(self, i: int, j: int, k: int) -> Fraction:
         """n_ij^k as an exact rational."""
+        from fractions import Fraction  # imported here: it loads decimal
+
         return Fraction(self.scaled(i, j, k), self.p + 1)
 
     def numerators(self, i: int) -> np.ndarray:
@@ -200,6 +211,8 @@ def structure_constant_bruteforce(
     modulus: PrimeModulus, i: int, j: int, k: int
 ) -> Fraction:
     """n_ij^k by counting point pairs, the oracle for the closed form."""
+    from fractions import Fraction  # imported here: it loads decimal
+
     _check_index(modulus.p, k)
     counts = pair_quadrance_counts(modulus, i, j)
     return Fraction(int(counts[k]), int(counts.sum()))

@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
+import signal
 import stat
 import sys
+import threading
 
 import numpy as np
 
+# bounds and walk are the package's lazy modules: their bodies run at the
+# first attribute read, so a command that never reads them never loads them
 from . import bounds as bounds_mod
 from . import circles as circles_mod
 from . import walk as walk_mod
@@ -97,6 +99,36 @@ def _open_output(output: str):
     return open(fd, "w", encoding="utf-8", newline=""), temp
 
 
+class _Terminated(SystemExit):
+    """SIGTERM, raised while ``_emit`` writes a file."""
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """Make SIGTERM raise ``_Terminated`` while the body runs, so that its
+    ``finally`` clauses run, then raise SIGTERM again with the default
+    action, so the process still ends by the signal. A process that
+    handles or ignores SIGTERM itself, or a thread other than the main
+    one, which may not set a handler, runs the body as it is."""
+    if (signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+
+    def unwind(signum, frame):
+        raise _Terminated(128 + signum)
+
+    try:
+        signal.signal(signal.SIGTERM, unwind)
+        yield
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise  # reached only if the signal is blocked
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _emit(chunks, output: str | None) -> None:
     """Write text chunks, in order, to stdout or to the file ``output``.
 
@@ -108,34 +140,43 @@ def _emit(chunks, output: str | None) -> None:
     is written and the file is closed, and is removed otherwise, so a
     failed command leaves no partial file and an existing file as it
     was; what a failed command wrote to stdout or to a device stays.
+    While a file is written, SIGTERM unwinds through that removal too
+    (``_sigterm_unwinds``), so only SIGKILL can leave the new file.
     """
-    with _output_errors():
-        fh, temp = (sys.stdout, None) if output in (None, "-") else _open_output(output)
-    try:
+    to_stdout = output in (None, "-")
+    with contextlib.nullcontext() if to_stdout else _sigterm_unwinds():
+        with _output_errors():
+            fh, temp = (sys.stdout, None) if to_stdout else _open_output(output)
         try:
-            for chunk in chunks:
+            try:
+                for chunk in chunks:
+                    with _output_errors():
+                        fh.write(chunk)
+            finally:
                 with _output_errors():
-                    fh.write(chunk)
+                    (fh.flush if fh is sys.stdout else fh.close)()
+            if temp is not None:
+                with _output_errors():
+                    os.replace(temp, os.path.realpath(output))
         finally:
-            with _output_errors():
-                (fh.flush if fh is sys.stdout else fh.close)()
-        if temp is not None:
-            with _output_errors():
-                os.replace(temp, os.path.realpath(output))
-    finally:
-        if temp is not None:
-            with contextlib.suppress(OSError):  # gone once renamed
-                os.remove(temp)
+            if temp is not None:
+                with contextlib.suppress(OSError):  # gone once renamed
+                    os.remove(temp)
 
 
 def _csv_text(header: list[str], rows) -> str:
-    """CSV text of the header, then the rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(v) for v in row])
-    return buf.getvalue()
+    """CSV text of the header, then the rows: the fields joined by commas,
+    which is what ``csv.writer`` writes when no field needs quoting.
+
+    None does. A field is quoted only if it holds a comma, a quote or a
+    line break, or if it is the only field of its row and empty. Every
+    header and row has at least two fields. Every header name is a
+    literal or a ``BoundReport`` field name, and every row field is
+    ``fmt`` of an int, a float, a bool, an axiom name (an ``AxiomReport``
+    field name) or an axiom witness (integers joined by ";").
+    """
+    lines = [",".join(header), *(",".join(map(fmt, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _write(args, obj, header: list[str], rows) -> None:
@@ -330,6 +371,9 @@ def cmd_scan(args) -> int:
             f"empty range: no prime = 3 (mod 4) in [{args.p_min}, {args.p_max}]")
     # largest prime first, so the pool ends on cheap tasks
     tasks = [(p, args.eps) for p in reversed(primes)]
+    # this read loads bounds, walk and the LAPACK route before any fork,
+    # so the workers inherit them rather than each loading them again
+    bounds_mod.walk_stages  # noqa: B018
     # the fork pool starts every worker at the first submit
     workers = min(args.jobs, _usable_cores(), len(tasks))
     if workers > 1:
@@ -395,7 +439,7 @@ def _add_common(sub, *, p=True, eps=False):
         sub.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.add_argument("--output", default=None, help="file path, default stdout")
     if eps:
-        sub.add_argument("--eps", type=_epsilon, default=walk_mod.DEFAULT_EPSILON,
+        sub.add_argument("--eps", type=_epsilon, default=circles_mod.DEFAULT_EPSILON,
                          help="TV threshold in (0, 1), default 1/(2e)")
 
 
@@ -448,15 +492,16 @@ def main(argv=None) -> int:
     except (NotPrime, WrongResidueClass) as exc:
         print(f"invalid modulus: {exc}", file=sys.stderr)
         return EXIT_BAD_MODULUS
-    except walk_mod.NotMixed as exc:
-        print(f"not mixed: {exc}", file=sys.stderr)
-        return EXIT_NOT_MIXED
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # p too large for this machine, not a broken invariant
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # read after the clauses above, so that a refusal does not load walk
+    except walk_mod.NotMixed as exc:
+        print(f"not mixed: {exc}", file=sys.stderr)
+        return EXIT_NOT_MIXED
     except Exception as exc:  # invariant violations and unexpected failures
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -22,10 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circles import StructureTensor, _first_witness, circle_points, exact_dtype
+from .circles import (
+    DEFAULT_EPSILON,
+    StructureTensor,
+    _first_witness,
+    circle_points,
+    exact_dtype,
+)
 from .modular import PrimeModulus
 
-DEFAULT_EPSILON = 1 / (2 * math.e)
 TRIAL_BLOCK = 2**16  # trials whose steps ``simulate`` gathers at once
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -8,7 +9,9 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -261,8 +264,9 @@ def test_closed_stdout_pipe_exit_1():
 
 
 def test_a_killed_export_leaves_the_file_as_it_was(tmp_path):
-    # the child sends itself SIGTERM once the first block is written, so
-    # no cleanup runs: FILE keeps its content and the new file stays
+    # the child sends itself SIGTERM once the first block is written: the
+    # export unwinds, removes the new file and dies by the signal, and
+    # FILE keeps its content
     target = tmp_path / "tensor.csv"
     target.write_text("an earlier export\n")
     child = (
@@ -281,8 +285,36 @@ def test_a_killed_export_leaves_the_file_as_it_was(tmp_path):
                            "--output", str(target)], env=CLI_ENV) as proc:
         assert proc.wait(timeout=60) == -signal.SIGTERM
     assert target.read_text() == "an earlier export\n"
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "tensor.csv", f"tensor.csv.{proc.pid}.tmp"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["tensor.csv"]
+
+
+def test_the_export_leaves_a_sigterm_handler_as_it_was(tmp_path, capsys):
+    # the unwinding handler is set only while a file is written, and only
+    # over the default action: a handler of the caller's stays in place
+    target = tmp_path / "tensor.csv"
+    assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    assert run(capsys, "constants", "--p", "7", "--output", str(target))[0] == 0
+    assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+
+    def own(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, own)
+    try:
+        assert run(capsys, "constants", "--p", "7", "--output", str(target))[0] == 0
+        assert signal.getsignal(signal.SIGTERM) is own
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(parse_csv(target.read_text())[1]) == 343
+    # a thread other than the main one may set no handler, and needs none
+    target.unlink()
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(
+        main(["constants", "--p", "7", "--output", str(target)])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and codes == [0]
+    assert len(parse_csv(target.read_text())[1]) == 343
 
 
 def test_usage_error_exit_1(capsys):
@@ -665,6 +697,10 @@ def test_scan_locates_lapack_before_it_forks(capsys, monkeypatch):
 
     class RecordingPool:
         def __init__(self, max_workers):
+            # bounds is lazy: whether it has run is read off its type,
+            # since an attribute read would run it
+            bounds = sys.modules["circlewalk.bounds"]
+            located.append(type(bounds) is types.ModuleType)
             located.append(cli_mod.bounds_mod._LAPACK)
 
         def __enter__(self):
@@ -679,7 +715,7 @@ def test_scan_locates_lapack_before_it_forks(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0, 1})
     assert run(capsys, "scan", "--p-min", "7", "--p-max", "11", "--jobs", "2")[0] == 0
-    assert located == [cli_mod.bounds_mod._LAPACK]
+    assert located == [True, cli_mod.bounds_mod._LAPACK]
 
 
 def test_start_up_leaves_the_process_pool_unimported():
@@ -697,6 +733,56 @@ def test_start_up_leaves_the_process_pool_unimported():
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "[]\nTrue\n"
+
+
+def test_constants_and_axioms_load_neither_walk_nor_bounds():
+    # a fresh interpreter: the tests here have loaded every module
+    probe = (
+        "import contextlib, io, sys, types\n"
+        "import circlewalk.cli as cli\n"
+        "cli.build_parser()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['constants', '--p', '7']),\n"
+        "             cli.main(['axioms', '--p', '7'])]\n"
+        "print(codes)\n"
+        "print(sorted({'fractions', 'decimal', 'csv', 'multiprocessing'}"
+        " & set(sys.modules)))\n"
+        # an attribute read would load a lazy module, its type does not
+        "print([type(sys.modules[name]) is not types.ModuleType\n"
+        "       for name in ('circlewalk.bounds', 'circlewalk.walk')])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=CLI_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[0, 0]\n[]\n[True, True]\n"
+
+
+def test_csv_output_needs_no_quoting(capsys, monkeypatch):
+    # ``_csv_text`` joins fields by commas, which is csv.writer's text
+    # only while no field needs quoting: every CSV command's output, and
+    # an axiom report with witnesses, reads back, field by field, as
+    # csv.writer would write it
+    import circlewalk.cli as cli_mod
+
+    failed = AxiomReport(*(AxiomCheck(f.name, (1, 2, 0, 6)[:n + 1])
+                           for n, f in enumerate(dataclasses.fields(AxiomReport))))
+    commands = [
+        ["stationary", "--p", "7"], ["mix", "--p", "7"],
+        ["spectrum", "--p", "7"], ["bounds", "--p", "7"],
+        ["simulate", "--p", "7", "--trials", "10"], ["axioms", "--p", "7"],
+        ["scan", "--p-min", "7", "--p-max", "19", "--jobs", "1"],
+        ["axioms", "--p", "11"],
+    ]
+    for argv in commands:
+        if argv == commands[-1]:
+            monkeypatch.setattr(cli_mod.circles_mod, "validate_axioms",
+                                lambda tensor: failed)
+        code, out, _ = run(capsys, *argv)
+        assert code == (4 if argv == commands[-1] else 0), argv
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            line.split(",") for line in out.splitlines())
+        assert buf.getvalue() == out, argv
 
 
 def test_the_console_script_is_cli_main():

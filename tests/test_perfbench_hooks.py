@@ -5,9 +5,16 @@ and nothing here installs its wrappers."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+# a child interpreter importing this checkout's package
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def load_tracing():
@@ -18,14 +25,24 @@ def load_tracing():
 
 
 def test_every_traced_path_resolves_in_the_package():
-    tracing = load_tracing()
-    hooks = [*tracing.TRACED, tracing.LEAF, tracing.SCAN_TASK]
-    for name, module, path in hooks:
-        importlib.import_module(module)
-        assert callable(tracing._resolve(module, path)), name
-    # the traced scan swaps in its own pool under this name
-    assert hasattr(importlib.import_module("circlewalk.cli"),
-                   "ProcessPoolExecutor")
+    # as the traced run does: a fresh interpreter imports circlewalk.cli
+    # alone, then reads each hook's module out of sys.modules, so a module
+    # that importing the cli leaves unregistered fails here
+    probe = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('t', {str(TRACING)!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "import circlewalk.cli\n"
+        "for name, module, path in [*tracing.TRACED, tracing.LEAF,"
+        " tracing.SCAN_TASK]:\n"
+        "    assert callable(tracing._resolve(module, path)), name\n"
+        # the traced scan swaps in its own pool under this name
+        "assert hasattr(sys.modules['circlewalk.cli'], 'ProcessPoolExecutor')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=CLI_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_every_note_reads_a_real_call():
